@@ -22,9 +22,11 @@
 #   make perf-gate   regression gate over the pinned fast-path keys: any key
 #                    slower than 2x its recorded bench.json baseline fails
 #                    (best of two runs; PERF_GATE_SKIP=1 to skip)
-#   make crypto-selftest  report the CPUID-selected AES/SHA backends and
-#                    cross-check every tier against the executable
-#                    specification (nonzero exit on any mismatch)
+#   make crypto-selftest  report the CPUID-selected AES/SHA backends, then
+#                    run the test suite's aes-backend and golden groups:
+#                    FIPS KATs, golden digests and tier = reference on
+#                    every tier this CPU can run (nonzero exit on any
+#                    mismatch)
 #   make check       what CI runs: build + tests + crypto self-test + matrix
 #                    + fleet smoke + serve smoke + migrate smoke + perf gate
 #                    + docs
@@ -75,6 +77,7 @@ perf-gate:
 
 crypto-selftest:
 	dune exec bin/fidelius_sim.exe -- cpu-features
+	dune exec test/test_crypto.exe -- test '^(aes-backend|golden)$$'
 
 check: build test crypto-selftest matrix fleet-smoke serve-smoke migrate-smoke perf-gate doc
 

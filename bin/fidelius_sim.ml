@@ -527,68 +527,19 @@ let migrate_cmd =
 
 (* --- cpu-features ------------------------------------------------------------- *)
 
-(* Report which crypto backends CPUID selected (so bench.json deltas are
-   interpretable across machines) and self-test them: FIPS-197 KAT and the
-   pinned golden XEX page digest against the active backend, then a
-   backend-vs-reference sweep over every tier this CPU can run. Any
-   mismatch exits nonzero, which is what `make crypto-selftest` relies on. *)
+(* Report which crypto backends CPUID selected, so bench.json deltas are
+   interpretable across machines. The self-test of those backends is the
+   test suite's [aes-backend] and [golden] groups (`make crypto-selftest`). *)
 let cpu_features () =
   let module Aes = Fidelius_crypto.Aes in
-  let module Modes = Fidelius_crypto.Modes in
-  let module Sha256 = Fidelius_crypto.Sha256 in
   Printf.printf "cpu features:   %s\n" (String.concat " " (Aes.cpu_features ()));
   Printf.printf "aes backend:    %s\n" (Aes.backend ());
-  Printf.printf "sha256 backend: %s\n" Sha256.backend;
-  let of_hex s =
-    let nibble c = if c >= 'a' then Char.code c - 87 else Char.code c - 48 in
-    Bytes.init (String.length s / 2) (fun i ->
-        Char.chr ((nibble s.[2 * i] lsl 4) lor nibble s.[(2 * i) + 1]))
-  in
-  let failures = ref [] in
-  let check name ok = if not ok then failures := name :: !failures in
-  (* FIPS-197 Appendix B, against whatever backend is active. *)
-  let kat_key = Aes.expand (of_hex "2b7e151628aed2a6abf7158809cf4f3c") in
-  check "fips-197 appendix B KAT"
-    (Bytes.equal
-       (Aes.encrypt_block kat_key (of_hex "3243f6a8885a308d313198a2e0370734"))
-       (of_hex "3925841d02dc09fbdc118597196a0b32"));
-  (* The golden XEX page digest pinned by the test suite: backend changes
-     must never change ciphertext. *)
-  let gkey = Aes.expand (Bytes.init 16 Char.chr) in
-  let page = Bytes.init 4096 (fun i -> Char.chr ((i * 7 + 3) land 0xff)) in
-  check "golden xex page digest"
-    (String.equal
-       (Sha256.hex (Sha256.digest (Modes.xex_encrypt gkey ~tweak:0x40L page)))
-       "1e91d6ec9633bfbe5eeaebdd40436a81156eca32ea8ca50945602ee573f3fb60");
-  (* Every tier this CPU can run must agree with the OCaml reference. *)
-  let want = Modes.xex_encrypt_span_reference in
-  let expect = Bytes.create 4096 in
-  want gkey ~tweak0:0x1234L ~tweak_step:16L ~src:page ~src_off:0 ~dst:expect
-    ~dst_off:0 ~len:4096;
-  List.iter
-    (fun (name, tier) ->
-      if Aes.set_backend tier then begin
-        let got = Bytes.create 4096 in
-        Modes.xex_encrypt_span gkey ~tweak0:0x1234L ~tweak_step:16L ~src:page
-          ~src_off:0 ~dst:got ~dst_off:0 ~len:4096;
-        check (name ^ " vs reference") (Bytes.equal got expect);
-        Printf.printf "self-test:      %s ok=%b\n" name (Bytes.equal got expect)
-      end)
-    [ ("vaes", `Vaes); ("aes-ni", `Aesni); ("c-portable", `Portable) ];
-  ignore (Aes.set_backend `Auto);
-  match !failures with
-  | [] ->
-      print_endline "self-test:      PASS";
-      `Ok ()
-  | fs -> `Error (false, "crypto self-test FAILED: " ^ String.concat ", " fs)
+  Printf.printf "sha256 backend: %s\n" Fidelius_crypto.Sha256.backend
 
 let cpu_features_cmd =
-  let term = Term.(ret (const cpu_features $ const ())) in
+  let term = Term.(const cpu_features $ const ()) in
   Cmd.v
-    (Cmd.info "cpu-features"
-       ~doc:
-         "Report the CPUID-selected AES/SHA crypto backends and self-test them against the \
-          executable specification; exits nonzero on any mismatch")
+    (Cmd.info "cpu-features" ~doc:"Report the CPUID-selected AES/SHA crypto backends")
     term
 
 let main_cmd =

@@ -1,33 +1,32 @@
 (* AES-128 per FIPS-197.
 
-   Two layers live here:
+   The OCaml T-table implementation below is the *executable
+   specification*: each Te/Td entry fuses SubBytes + MixColumns for one
+   byte position, so a round is 16 table lookups and 16 XORs over four
+   32-bit words. ShiftRows is absorbed into which state word each lookup
+   reads from. Words are big-endian: byte i of the block is byte i of word
+   i/4, so word w holds column w of the FIPS state. The decrypt path uses
+   the equivalent inverse cipher: InvMixColumns is pre-applied to round
+   keys 1..9 at expansion time.
 
-   - The OCaml T-table implementation below is the *executable
-     specification*: each Te/Td entry fuses SubBytes + MixColumns for one
-     byte position, so a round is 16 table lookups and 16 XORs over four
-     32-bit words. ShiftRows is absorbed into which state word each lookup
-     reads from. Words are big-endian: byte i of the block is byte i of
-     word i/4, so word w holds column w of the FIPS state. The decrypt path
-     uses the equivalent inverse cipher: InvMixColumns is pre-applied to
-     round keys 1..9 at expansion time. It is exposed as the
-     [*_reference] entry points and cross-checked against the C backends
-     by the test suite.
-
-   - The production entry points dispatch to aes_stubs.c, which probes
-     CPUID once at startup and selects VAES (256-bit), AES-NI (128-bit,
-     pipelined 8 blocks) or a portable C T-table core. The C side works
-     from [rk], a 352-byte serialized schedule (see aes_stubs.c for the
-     layout) that matches [ek]/[dk] byte for byte. *)
+   The production entry points run on one C core per instruction set
+   (aes_stubs.c): VAES (256-bit, with runs under eight blocks routed to
+   AES-NI) or AES-NI (128-bit, pipelined 8 blocks), probed from CPUID once
+   at startup. A CPU with neither selects the [`Reference] tier, where the
+   same entry points run the OCaml loops below — so the fallback and the
+   oracle the test suite checks both C cores against are one piece of
+   code. The C cores load their round keys from [rk], the [ek]/[dk] words
+   serialized to bytes by [expand]. *)
 
 let block_size = 16
 let key_size = 16
 
-(* C backend entry points (aes_stubs.c). The stubs trust the caller for
-   bounds — every OCaml wrapper below validates before calling. *)
+(* C core entry points (aes_stubs.c). The stubs trust the caller for
+   bounds — every OCaml wrapper below validates before calling — and are
+   only called while a C core is active. *)
 external stub_backend : unit -> int = "fidelius_aes_backend" [@@noalloc]
 external stub_force : int -> int = "fidelius_aes_force_backend" [@@noalloc]
 external stub_cpu_flags : unit -> int = "fidelius_aes_cpu_flags" [@@noalloc]
-external stub_expand : bytes -> bytes -> unit = "fidelius_aes_expand" [@@noalloc]
 
 external stub_blocks : bytes -> bool -> bytes -> int -> bytes -> int -> int -> unit
   = "fidelius_aes_blocks_bytecode" "fidelius_aes_blocks"
@@ -47,20 +46,21 @@ external stub_xex_sectors :
   = "fidelius_aes_xex_sectors_bytecode" "fidelius_aes_xex_sectors"
 [@@noalloc]
 
-(* Probe the CPU once at module initialisation so the first hot-path call
-   never pays (or races on) detection. *)
-let () = ignore (stub_backend () : int)
+let reference_tier = 3
 
-let backend_name = function
-  | 1 -> "vaes"
-  | 2 -> "aes-ni"
-  | _ -> "c-portable"
+(* Probed once at module initialisation, so the first hot-path call never
+   pays (or races on) detection; only [set_backend] changes it after. *)
+let hw = ref (stub_backend () <> reference_tier)
 
-let backend () = backend_name (stub_backend ())
+let backend () =
+  match stub_backend () with 1 -> "vaes" | 2 -> "aes-ni" | _ -> "reference"
 
 let set_backend mode =
-  let want = match mode with `Auto -> 0 | `Vaes -> 1 | `Aesni -> 2 | `Portable -> 3 in
+  let want =
+    match mode with `Auto -> 0 | `Vaes -> 1 | `Aesni -> 2 | `Reference -> reference_tier
+  in
   let got = stub_force want in
+  hw := got <> reference_tier;
   want = 0 || got = want
 
 let cpu_features () =
@@ -150,8 +150,8 @@ type key = {
   st : int array;  (* 4-word scratch for the reference round state; reusing
                       it keeps the reference block functions allocation-free
                       (single-threaded) *)
-  rk : Bytes.t;    (* the same two schedules serialized for the C backends:
-                      bytes 0..175 encryption, 176..351 decryption *)
+  rk : Bytes.t;    (* ek then dk serialized for the C cores: bytes 0..175
+                      encryption, 176..351 decryption *)
 }
 
 let sub_word w =
@@ -171,15 +171,23 @@ let inv_mix_word w =
   lor ((gmul b0 13 lxor gmul b1 9 lxor gmul b2 14 lxor gmul b3 11) lsl 8)
   lor (gmul b0 11 lxor gmul b1 13 lxor gmul b2 9 lxor gmul b3 14)
 
+let load_word src off =
+  (Char.code (Bytes.unsafe_get src off) lsl 24)
+  lor (Char.code (Bytes.unsafe_get src (off + 1)) lsl 16)
+  lor (Char.code (Bytes.unsafe_get src (off + 2)) lsl 8)
+  lor Char.code (Bytes.unsafe_get src (off + 3))
+
+let store_word dst off w =
+  Bytes.unsafe_set dst off (Char.unsafe_chr ((w lsr 24) land 0xff));
+  Bytes.unsafe_set dst (off + 1) (Char.unsafe_chr ((w lsr 16) land 0xff));
+  Bytes.unsafe_set dst (off + 2) (Char.unsafe_chr ((w lsr 8) land 0xff));
+  Bytes.unsafe_set dst (off + 3) (Char.unsafe_chr (w land 0xff))
+
 let expand raw =
   if Bytes.length raw <> key_size then invalid_arg "Aes.expand: key must be 16 bytes";
   let ek = Array.make 44 0 in
   for i = 0 to 3 do
-    ek.(i) <-
-      (Char.code (Bytes.get raw (4 * i)) lsl 24)
-      lor (Char.code (Bytes.get raw ((4 * i) + 1)) lsl 16)
-      lor (Char.code (Bytes.get raw ((4 * i) + 2)) lsl 8)
-      lor Char.code (Bytes.get raw ((4 * i) + 3))
+    ek.(i) <- load_word raw (4 * i)
   done;
   for i = 4 to 43 do
     let t = ek.(i - 1) in
@@ -198,38 +206,23 @@ let expand raw =
   for i = 4 to 39 do
     dk.(i) <- inv_mix_word dk.(i)
   done;
-  (* The C side re-expands from the raw key (with aeskeygenassist on the
-     hardware tiers); the result is byte-identical to ek/dk, which the test
-     suite checks via [schedule_bytes]. *)
+  (* Big-endian words in FIPS byte order are exactly the round-key bytes
+     aesenc/aesdec load. *)
   let rk = Bytes.create 352 in
-  stub_expand raw rk;
+  for i = 0 to 43 do
+    store_word rk (4 * i) ek.(i);
+    store_word rk (176 + (4 * i)) dk.(i)
+  done;
   { ek; dk; st = Array.make 4 0; rk }
 
 let schedule_words { ek; _ } = Array.copy ek
 
 let schedule_bytes { rk; _ } = Bytes.copy rk
 
-let load_word src off =
-  (Char.code (Bytes.unsafe_get src off) lsl 24)
-  lor (Char.code (Bytes.unsafe_get src (off + 1)) lsl 16)
-  lor (Char.code (Bytes.unsafe_get src (off + 2)) lsl 8)
-  lor Char.code (Bytes.unsafe_get src (off + 3))
-
-let store_word dst off w =
-  Bytes.unsafe_set dst off (Char.unsafe_chr ((w lsr 24) land 0xff));
-  Bytes.unsafe_set dst (off + 1) (Char.unsafe_chr ((w lsr 16) land 0xff));
-  Bytes.unsafe_set dst (off + 2) (Char.unsafe_chr ((w lsr 8) land 0xff));
-  Bytes.unsafe_set dst (off + 3) (Char.unsafe_chr (w land 0xff))
-
-let check_range name buf off =
-  if off < 0 || off + block_size > Bytes.length buf then
-    invalid_arg ("Aes: " ^ name ^ " range out of bounds")
-
-(* The four state words are fully loaded before anything is stored, so
-   src and dst may alias (in-place block operations are safe). *)
-let encrypt_block_reference_into key ~src ~src_off ~dst ~dst_off =
-  check_range "src" src src_off;
-  check_range "dst" dst dst_off;
+(* Reference block functions. Unchecked: every caller below validates the
+   ranges first. The four state words are fully loaded before anything is
+   stored, so src and dst may alias (in-place block operations are safe). *)
+let reference_encrypt key src src_off dst dst_off =
   let ek = key.ek and st = key.st in
   st.(0) <- load_word src src_off lxor ek.(0);
   st.(1) <- load_word src (src_off + 4) lxor ek.(1);
@@ -261,9 +254,7 @@ let encrypt_block_reference_into key ~src ~src_off ~dst ~dst_off =
     (((sbox.(s3 lsr 24) lsl 24) lor (sbox.((s0 lsr 16) land 0xff) lsl 16)
       lor (sbox.((s1 lsr 8) land 0xff) lsl 8) lor sbox.(s2 land 0xff)) lxor ek.(43))
 
-let decrypt_block_reference_into key ~src ~src_off ~dst ~dst_off =
-  check_range "src" src src_off;
-  check_range "dst" dst dst_off;
+let reference_decrypt key src src_off dst dst_off =
   let dk = key.dk and st = key.st in
   st.(0) <- load_word src src_off lxor dk.(0);
   st.(1) <- load_word src (src_off + 4) lxor dk.(1);
@@ -295,17 +286,66 @@ let decrypt_block_reference_into key ~src ~src_off ~dst ~dst_off =
     (((inv_sbox.(s3 lsr 24) lsl 24) lor (inv_sbox.((s2 lsr 16) land 0xff) lsl 16)
       lor (inv_sbox.((s1 lsr 8) land 0xff) lsl 8) lor inv_sbox.(s0 land 0xff)) lxor dk.(43))
 
-(* Production block entry points: same bounds checks, C backend body. *)
+(* Reference bulk loops: the [`Reference] tier's bodies for the bulk entry
+   points, block for block what the C cores compute. *)
+
+let reference_blocks key ~encrypt src src_off dst dst_off nblocks =
+  let block = if encrypt then reference_encrypt else reference_decrypt in
+  for i = 0 to nblocks - 1 do
+    block key src (src_off + (16 * i)) dst (dst_off + (16 * i))
+  done
+
+let reference_ctr key nonce src dst len =
+  let ctr = Bytes.create 16 and ks = Bytes.create 16 in
+  Bytes.set_int64_be ctr 0 nonce;
+  for blk = 0 to ((len + 15) / 16) - 1 do
+    Bytes.set_int64_be ctr 8 (Int64.of_int blk);
+    reference_encrypt key ctr 0 ks 0;
+    let base = blk * 16 in
+    for j = 0 to min 16 (len - base) - 1 do
+      Bytes.set dst (base + j)
+        (Char.chr (Char.code (Bytes.get src (base + j)) lxor Char.code (Bytes.get ks j)))
+    done
+  done
+
+(* Tweak-block low quadword, shared with aes_stubs.c (XEX_TWEAK_TAG). *)
+let xex_tweak_tag = 0xF1DE11F5L
+
+let xor_mask mask buf off =
+  for j = 0 to 15 do
+    Bytes.set buf (off + j)
+      (Char.chr (Char.code (Bytes.get buf (off + j)) lxor Char.code (Bytes.get mask j)))
+  done
+
+let reference_xex key ~encrypt tweak0 tweak_step src src_off dst dst_off len =
+  let block = if encrypt then reference_encrypt else reference_decrypt in
+  let tb = Bytes.create 16 and mask = Bytes.create 16 in
+  Bytes.set_int64_be tb 8 xex_tweak_tag;
+  for blk = 0 to (len / 16) - 1 do
+    Bytes.set_int64_be tb 0 (Int64.add tweak0 (Int64.mul tweak_step (Int64.of_int blk)));
+    reference_encrypt key tb 0 mask 0;
+    let o = blk * 16 in
+    Bytes.blit src (src_off + o) dst (dst_off + o) 16;
+    xor_mask mask dst (dst_off + o);
+    block key dst (dst_off + o) dst (dst_off + o);
+    xor_mask mask dst (dst_off + o)
+  done
+
+let check_range name buf off =
+  if off < 0 || off + block_size > Bytes.length buf then
+    invalid_arg ("Aes: " ^ name ^ " range out of bounds")
 
 let encrypt_block_into key ~src ~src_off ~dst ~dst_off =
   check_range "src" src src_off;
   check_range "dst" dst dst_off;
-  stub_blocks key.rk true src src_off dst dst_off 1
+  if !hw then stub_blocks key.rk true src src_off dst dst_off 1
+  else reference_encrypt key src src_off dst dst_off
 
 let decrypt_block_into key ~src ~src_off ~dst ~dst_off =
   check_range "src" src src_off;
   check_range "dst" dst dst_off;
-  stub_blocks key.rk false src src_off dst dst_off 1
+  if !hw then stub_blocks key.rk false src src_off dst dst_off 1
+  else reference_decrypt key src src_off dst dst_off
 
 let check_block plain =
   if Bytes.length plain <> block_size then invalid_arg "Aes: block must be 16 bytes"
@@ -322,20 +362,9 @@ let decrypt_block key cipher =
   decrypt_block_into key ~src:cipher ~src_off:0 ~dst:out ~dst_off:0;
   out
 
-let encrypt_block_reference key plain =
-  check_block plain;
-  let out = Bytes.create block_size in
-  encrypt_block_reference_into key ~src:plain ~src_off:0 ~dst:out ~dst_off:0;
-  out
-
-let decrypt_block_reference key cipher =
-  check_block cipher;
-  let out = Bytes.create block_size in
-  decrypt_block_reference_into key ~src:cipher ~src_off:0 ~dst:out ~dst_off:0;
-  out
-
-(* Bulk entry points — one C call per run of blocks. The C side trusts the
-   caller, so all bounds are validated here. *)
+(* Bulk entry points — one C call per run of blocks (one OCaml loop on the
+   reference tier). The C side trusts the caller, so all bounds are
+   validated here. *)
 
 let check_run name buf off nbytes =
   if off < 0 || nbytes < 0 || off + nbytes > Bytes.length buf then
@@ -344,19 +373,21 @@ let check_run name buf off nbytes =
 let blocks_into key ~encrypt ~src ~src_off ~dst ~dst_off ~nblocks =
   check_run "src" src src_off (nblocks * block_size);
   check_run "dst" dst dst_off (nblocks * block_size);
-  stub_blocks key.rk encrypt src src_off dst dst_off nblocks
+  if !hw then stub_blocks key.rk encrypt src src_off dst dst_off nblocks
+  else reference_blocks key ~encrypt src src_off dst dst_off nblocks
 
 let ctr_into key ~nonce ~src ~dst ~len =
   check_run "src" src 0 len;
   check_run "dst" dst 0 len;
-  stub_ctr key.rk nonce src dst len
+  if !hw then stub_ctr key.rk nonce src dst len else reference_ctr key nonce src dst len
 
 let xex_span_into key ~encrypt ~tweak0 ~tweak_step ~src ~src_off ~dst ~dst_off ~len =
   if len mod block_size <> 0 then
     invalid_arg "Aes.xex_span_into: len must be a multiple of 16";
   check_run "src" src src_off len;
   check_run "dst" dst dst_off len;
-  stub_xex key.rk encrypt tweak0 tweak_step src src_off dst dst_off len
+  if !hw then stub_xex key.rk encrypt tweak0 tweak_step src src_off dst dst_off len
+  else reference_xex key ~encrypt tweak0 tweak_step src src_off dst dst_off len
 
 let xex_sectors_into key ~encrypt ~tweak0 ~sector_stride ~sector_bytes ~src ~src_off ~dst
     ~dst_off ~nsectors =
@@ -365,5 +396,13 @@ let xex_sectors_into key ~encrypt ~tweak0 ~sector_stride ~sector_bytes ~src ~src
   if nsectors < 0 then invalid_arg "Aes.xex_sectors_into: nsectors must be >= 0";
   check_run "src" src src_off (nsectors * sector_bytes);
   check_run "dst" dst dst_off (nsectors * sector_bytes);
-  stub_xex_sectors key.rk encrypt tweak0 sector_stride src src_off dst dst_off sector_bytes
-    nsectors
+  if !hw then
+    stub_xex_sectors key.rk encrypt tweak0 sector_stride src src_off dst dst_off
+      sector_bytes nsectors
+  else
+    for i = 0 to nsectors - 1 do
+      let o = i * sector_bytes in
+      reference_xex key ~encrypt
+        (Int64.add tweak0 (Int64.mul sector_stride (Int64.of_int i)))
+        1L src (src_off + o) dst (dst_off + o) sector_bytes
+    done

@@ -6,28 +6,28 @@
     by the I/O-protection ablation. Correctness is pinned to the FIPS-197
     appendix test vectors in the test suite.
 
-    Since the hardware-backend work the module is two-layered: the OCaml
-    T-table implementation is kept as the executable specification
-    ([*_reference] entry points), while the production entry points
-    dispatch to C cores in [aes_stubs.c] — VAES, AES-NI (pipelined eight
-    blocks per call) or a portable C fallback, probed once from CPUID at
-    startup. Every backend is cross-checked against the reference by the
-    test suite, and all of them produce byte-identical output: switching
-    backend (or machine) never changes ciphertext, only wall-clock time. *)
+    Three tiers sit behind one set of entry points, probed once from
+    CPUID at startup: a VAES core (eight blocks per round in ymm
+    registers; runs shorter than eight blocks take the AES-NI core), an
+    AES-NI core (pipelined eight blocks per call), both in [aes_stubs.c],
+    and the OCaml T-table executable specification, which is the
+    [`Reference] tier on a CPU with neither. The test suite checks every
+    tier this CPU can run against [`Reference] through these same entry
+    points, and all of them produce byte-identical output: switching tier
+    (or machine) never changes ciphertext, only wall-clock time. *)
 
 type key
 (** An expanded AES-128 key schedule: 44 encryption round-key words plus the
     equivalent-inverse-cipher decryption schedule (InvMixColumns pre-applied
     to rounds 1..9), kept both as flat int arrays for the reference T-table
-    block functions and serialized into a 352-byte buffer the C backends
-    load their round keys from.
+    block functions and serialized into a 352-byte buffer the C cores load
+    their round keys from.
 
-    Thread-safety: the C backends keep no per-key scratch — their working
-    state lives in registers and the C stack, and the only globals are the
-    lookup tables and the backend-selection word, both written once at
-    startup — but the {e reference} path still carries a small mutable
-    scratch state reused across calls, and {!set_backend} mutates the
-    process-wide selection. So the rule stays: a [key] must never be shared
+    Thread-safety: the C cores keep no per-key scratch — their working
+    state lives in registers and the C stack, and the only global is the
+    tier-selection word, written once at startup — but the {e reference}
+    tier carries a small mutable scratch state reused across calls, and
+    {!set_backend} mutates the process-wide selection. So the rule stays: a [key] must never be shared
     between domains, and {!set_backend} belongs in single-domain test code
     only. Under the fleet runner ([Fidelius_fleet.Pool]) this holds by
     construction — every shard builds its own machine, whose engines
@@ -41,10 +41,9 @@ val key_size : int
 (** Key size in bytes (16). *)
 
 val expand : bytes -> key
-(** [expand raw] expands a 16-byte key — in OCaml for the reference
-    schedule and in C (with [aeskeygenassist] on the hardware tiers) for
-    the backend schedule; the two are byte-identical. Raises
-    [Invalid_argument] on a wrong key length. *)
+(** [expand raw] expands a 16-byte key into the encryption and
+    equivalent-inverse decryption schedules, and serializes both for the
+    C cores. Raises [Invalid_argument] on a wrong key length. *)
 
 val encrypt_block : key -> bytes -> bytes
 (** [encrypt_block k plain] encrypts one 16-byte block. Raises
@@ -61,8 +60,8 @@ val decrypt_block_into : key -> src:bytes -> src_off:int -> dst:bytes -> dst_off
 
 (** {2 Bulk entry points}
 
-    One C call per multi-block run; {!Modes} builds ECB, CTR and XEX on
-    these. All offsets/lengths are validated here — the C side trusts its
+    One C call per multi-block run (one OCaml loop on the [`Reference]
+    tier); {!Modes} builds ECB, CTR and XEX on these. All offsets/lengths are validated here — the C side trusts its
     caller. [src] and [dst] may be the same buffer at the same offset. *)
 
 val blocks_into :
@@ -93,32 +92,19 @@ val xex_sectors_into :
     this runs a whole batch of sectors in one C call. [sector_bytes] must
     be a positive multiple of 16. *)
 
-(** {2 Executable specification}
-
-    The original OCaml T-table implementation, kept as the reference the
-    test suite cross-checks every C backend against. Not used on hot
-    paths. *)
-
-val encrypt_block_reference : key -> bytes -> bytes
-val decrypt_block_reference : key -> bytes -> bytes
-
-val encrypt_block_reference_into :
-  key -> src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> unit
-
-val decrypt_block_reference_into :
-  key -> src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> unit
-
 (** {2 Backend introspection} *)
 
 val backend : unit -> string
-(** The active C backend: ["vaes"], ["aes-ni"] or ["c-portable"].
-    Selected once from CPUID at startup. *)
+(** The active tier: ["vaes"], ["aes-ni"] or ["reference"] (the OCaml
+    specification, on a CPU without AES-NI). Selected once from CPUID at
+    startup. *)
 
-val set_backend : [ `Auto | `Vaes | `Aesni | `Portable ] -> bool
-(** Force a backend, for tests and diagnostics. Returns [false] (leaving
-    the selection unchanged) if the requested tier is not available on this
-    CPU. [`Auto] re-probes and always succeeds. Process-wide — see the
-    thread-safety note on {!key}. *)
+val set_backend : [ `Auto | `Vaes | `Aesni | `Reference ] -> bool
+(** Force a tier, for tests and diagnostics. Returns [false] (leaving the
+    selection unchanged) if the requested tier is not available on this
+    CPU; [`Reference] is available everywhere. [`Auto] re-probes and
+    always succeeds. Process-wide — see the thread-safety note on
+    {!key}. *)
 
 val cpu_features : unit -> string list
 (** CPUID feature flags relevant to crypto backend selection, e.g.
@@ -130,7 +116,7 @@ val schedule_words : key -> int array
     test suite. Returns a copy. *)
 
 val schedule_bytes : key -> bytes
-(** The 352-byte serialized schedule the C backends use (encryption rounds
-    at 0..175, equivalent-inverse-cipher decryption rounds at 176..351),
-    exposed so the test suite can check the C key expansion against the
-    OCaml one. Returns a copy. *)
+(** The 352-byte serialized schedule the C cores load (encryption rounds
+    at 0..175, equivalent-inverse-cipher decryption rounds at 176..351,
+    big-endian words), exposed so the test suite can pin its layout.
+    Returns a copy. *)

@@ -12,13 +12,12 @@
       fixed-length data is needed.
 
     Every function here is deterministic — output depends only on the
-    key, tweak/nonce and input bytes. Since the hardware-backend work the
-    production functions are thin wrappers over the bulk {!Aes} entry
-    points (one C call per multi-block run); the pre-backend per-block
-    OCaml loops are kept as the [*_reference] executable specification the
-    test suite cross-checks every backend against. Outputs are
-    byte-identical across backends. The thread-safety rule is unchanged:
-    concurrent calls on one {!Aes.key} from two domains are a data race
+    key, tweak/nonce and input bytes. The functions are thin wrappers over
+    the bulk {!Aes} entry points: one C call per multi-block run on the
+    VAES and AES-NI tiers, the OCaml reference loops on the [`Reference]
+    tier. Outputs are byte-identical across tiers, so the test suite's
+    oracle is simply these functions under [Aes.set_backend `Reference].
+    Concurrent calls on one {!Aes.key} from two domains are a data race
     (see {!Aes.key}); give each domain its own expanded key. *)
 
 val ecb_encrypt : Aes.key -> bytes -> bytes
@@ -82,34 +81,3 @@ val cbc_mac : Aes.key -> bytes -> bytes
 (** 16-byte tag over a buffer of any length (zero-padded internally; callers
     authenticate fixed-format data only, so length-extension shaping is not a
     concern in the simulator). *)
-
-(** {2 Executable specification}
-
-    The pre-backend per-block OCaml loops, built on the {!Aes} reference
-    block functions. Semantically identical to the production functions
-    above; used by the test suite to cross-check whichever C backend is
-    active. *)
-
-val ecb_encrypt_reference : Aes.key -> bytes -> bytes
-val ecb_decrypt_reference : Aes.key -> bytes -> bytes
-val ctr_transform_reference : Aes.key -> nonce:int64 -> bytes -> bytes
-
-val xex_encrypt_span_reference :
-  Aes.key ->
-  tweak0:int64 -> tweak_step:int64 ->
-  src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> unit
-
-val xex_decrypt_span_reference :
-  Aes.key ->
-  tweak0:int64 -> tweak_step:int64 ->
-  src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> unit
-
-val xex_encrypt_sectors_reference :
-  Aes.key ->
-  tweak0:int64 -> sector_stride:int64 -> sector_bytes:int ->
-  src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> nsectors:int -> unit
-
-val xex_decrypt_sectors_reference :
-  Aes.key ->
-  tweak0:int64 -> sector_stride:int64 -> sector_bytes:int ->
-  src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> nsectors:int -> unit

@@ -1,14 +1,12 @@
 /* SHA-256 block compression for Sha256 — the "hash unit" of the modelled
- * secure processor. Two backends, selected once at startup:
+ * secure processor: the x86 SHA extensions (sha256rnds2/sha256msg1/
+ * sha256msg2), used when CPUID leaf 7 reports them. This is the same
+ * silicon a real memory-encryption engine would drive.
  *
- *   - SHA-NI: the x86 SHA extensions (sha256rnds2/sha256msg1/sha256msg2),
- *     when CPUID leaf 7 reports them. This is the same silicon a real
- *     memory-encryption engine would drive.
- *   - A portable scalar C core, used everywhere else.
- *
- * Both compute exactly FIPS 180-4; the OCaml side additionally keeps a
- * from-scratch OCaml compression as the executable specification and the
- * test suite cross-checks the active backend against it.
+ * It computes exactly FIPS 180-4. On a CPU without the extensions this
+ * file reports no hash unit and is never called: the OCaml side runs its
+ * from-scratch compression instead, which is also the executable
+ * specification the test suite checks this core against.
  *
  * Contract with the OCaml side: the chaining state is an 8-element OCaml
  * int array holding the 32-bit words (immediates only, so plain Field
@@ -20,6 +18,16 @@
 #include <stddef.h>
 
 #include <caml/mlvalues.h>
+
+/* ------------------------------------------------------------------ */
+/* SHA-NI core (x86-64 with the SHA extensions)                       */
+/* ------------------------------------------------------------------ */
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define FIDELIUS_SHANI_POSSIBLE 1
+
+#include <cpuid.h>
+#include <immintrin.h>
 
 static const uint32_t K[64] = {
   0x428a2f98u, 0x71374491u, 0xb5c0fbcfu, 0xe9b5dba5u,
@@ -39,57 +47,6 @@ static const uint32_t K[64] = {
   0x748f82eeu, 0x78a5636fu, 0x84c87814u, 0x8cc70208u,
   0x90befffau, 0xa4506cebu, 0xbef9a3f7u, 0xc67178f2u,
 };
-
-/* ------------------------------------------------------------------ */
-/* Portable scalar core                                               */
-/* ------------------------------------------------------------------ */
-
-static inline uint32_t rotr32(uint32_t x, int n)
-{
-  return (x >> n) | (x << (32 - n));
-}
-
-static void compress_scalar(uint32_t state[8], const unsigned char *p,
-                            long nblocks)
-{
-  uint32_t w[64];
-  while (nblocks-- > 0) {
-    for (int t = 0; t < 16; t++) {
-      w[t] = ((uint32_t)p[4 * t] << 24) | ((uint32_t)p[4 * t + 1] << 16) |
-             ((uint32_t)p[4 * t + 2] << 8) | (uint32_t)p[4 * t + 3];
-    }
-    for (int t = 16; t < 64; t++) {
-      uint32_t s0 =
-          rotr32(w[t - 15], 7) ^ rotr32(w[t - 15], 18) ^ (w[t - 15] >> 3);
-      uint32_t s1 =
-          rotr32(w[t - 2], 17) ^ rotr32(w[t - 2], 19) ^ (w[t - 2] >> 10);
-      w[t] = w[t - 16] + s0 + w[t - 7] + s1;
-    }
-    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
-    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
-    for (int t = 0; t < 64; t++) {
-      uint32_t t1 = h + (rotr32(e, 6) ^ rotr32(e, 11) ^ rotr32(e, 25)) +
-                    ((e & f) ^ (~e & g)) + K[t] + w[t];
-      uint32_t t2 = (rotr32(a, 2) ^ rotr32(a, 13) ^ rotr32(a, 22)) +
-                    ((a & b) ^ (a & c) ^ (b & c));
-      h = g; g = f; f = e; e = d + t1;
-      d = c; c = b; b = a; a = t1 + t2;
-    }
-    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
-    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
-    p += 64;
-  }
-}
-
-/* ------------------------------------------------------------------ */
-/* SHA-NI core (x86-64 with the SHA extensions)                       */
-/* ------------------------------------------------------------------ */
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define FIDELIUS_SHANI_POSSIBLE 1
-
-#include <cpuid.h>
-#include <immintrin.h>
 
 static int shani_available(void)
 {
@@ -177,187 +134,38 @@ static void compress_shani(uint32_t state[8], const unsigned char *p,
   _mm_storeu_si128((__m128i *)&state[4], state1);
 }
 
-/* ------------------------------------------------------------------ */
-/* Two-stream SHA-NI core                                             */
-/*                                                                    */
-/* sha256rnds2 has multi-cycle latency and each stream's rounds form  */
-/* one serial dependency chain; interleaving two independent streams  */
-/* lets the second chain issue in the first one's latency shadow, so  */
-/* a lockstep pair runs well under 2x the single-stream time. This is */
-/* how the modelled integrity engine doubles its BMT update rate.     */
-/* ------------------------------------------------------------------ */
-
-#define QROUNDS2(g, WA, WB)                                                 \
-  do {                                                                      \
-    const __m128i k_ = _mm_loadu_si128((const __m128i *)&K[4 * (g)]);       \
-    __m128i ma_ = _mm_add_epi32(WA, k_);                                    \
-    __m128i mb_ = _mm_add_epi32(WB, k_);                                    \
-    s1a = _mm_sha256rnds2_epu32(s1a, s0a, ma_);                             \
-    s1b = _mm_sha256rnds2_epu32(s1b, s0b, mb_);                             \
-    ma_ = _mm_shuffle_epi32(ma_, 0x0E);                                     \
-    mb_ = _mm_shuffle_epi32(mb_, 0x0E);                                     \
-    s0a = _mm_sha256rnds2_epu32(s0a, s1a, ma_);                             \
-    s0b = _mm_sha256rnds2_epu32(s0b, s1b, mb_);                             \
-  } while (0)
-
-#define LOAD_STATE2(state, s0, s1)                                          \
-  do {                                                                      \
-    __m128i t_ = _mm_loadu_si128((const __m128i *)&(state)[0]);             \
-    s1 = _mm_loadu_si128((const __m128i *)&(state)[4]);                     \
-    t_ = _mm_shuffle_epi32(t_, 0xB1);                                       \
-    s1 = _mm_shuffle_epi32(s1, 0x1B);                                       \
-    s0 = _mm_alignr_epi8(t_, s1, 8);                                        \
-    s1 = _mm_blend_epi16(s1, t_, 0xF0);                                     \
-  } while (0)
-
-#define STORE_STATE2(state, s0, s1)                                         \
-  do {                                                                      \
-    __m128i t_ = _mm_shuffle_epi32(s0, 0x1B);                               \
-    __m128i u_ = _mm_shuffle_epi32(s1, 0xB1);                               \
-    __m128i lo_ = _mm_blend_epi16(t_, u_, 0xF0);                            \
-    __m128i hi_ = _mm_alignr_epi8(u_, t_, 8);                               \
-    _mm_storeu_si128((__m128i *)&(state)[0], lo_);                          \
-    _mm_storeu_si128((__m128i *)&(state)[4], hi_);                          \
-  } while (0)
-
-__attribute__((target("sha,sse4.1,ssse3")))
-static void compress2_shani(uint32_t sa[8], const unsigned char *pa,
-                            uint32_t sb[8], const unsigned char *pb,
-                            long nblocks)
-{
-  const __m128i bswap =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
-  __m128i s0a, s1a, s0b, s1b;
-  LOAD_STATE2(sa, s0a, s1a);
-  LOAD_STATE2(sb, s0b, s1b);
-
-  while (nblocks-- > 0) {
-    const __m128i abef_a = s0a, cdgh_a = s1a;
-    const __m128i abef_b = s0b, cdgh_b = s1b;
-
-    __m128i w0a = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pa + 0)), bswap);
-    __m128i w0b = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pb + 0)), bswap);
-    __m128i w1a = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pa + 16)), bswap);
-    __m128i w1b = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pb + 16)), bswap);
-    __m128i w2a = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pa + 32)), bswap);
-    __m128i w2b = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pb + 32)), bswap);
-    __m128i w3a = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pa + 48)), bswap);
-    __m128i w3b = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(pb + 48)), bswap);
-
-    QROUNDS2(0, w0a, w0b);
-    QROUNDS2(1, w1a, w1b);
-    QROUNDS2(2, w2a, w2b);
-    QROUNDS2(3, w3a, w3b);
-    for (int g = 4; g < 16; g += 4) {
-      w0a = NEXT_W(w0a, w1a, w2a, w3a);
-      w0b = NEXT_W(w0b, w1b, w2b, w3b);
-      QROUNDS2(g, w0a, w0b);
-      w1a = NEXT_W(w1a, w2a, w3a, w0a);
-      w1b = NEXT_W(w1b, w2b, w3b, w0b);
-      QROUNDS2(g + 1, w1a, w1b);
-      w2a = NEXT_W(w2a, w3a, w0a, w1a);
-      w2b = NEXT_W(w2b, w3b, w0b, w1b);
-      QROUNDS2(g + 2, w2a, w2b);
-      w3a = NEXT_W(w3a, w0a, w1a, w2a);
-      w3b = NEXT_W(w3b, w0b, w1b, w2b);
-      QROUNDS2(g + 3, w3a, w3b);
-    }
-
-    s0a = _mm_add_epi32(s0a, abef_a);
-    s1a = _mm_add_epi32(s1a, cdgh_a);
-    s0b = _mm_add_epi32(s0b, abef_b);
-    s1b = _mm_add_epi32(s1b, cdgh_b);
-    pa += 64;
-    pb += 64;
-  }
-
-  STORE_STATE2(sa, s0a, s1a);
-  STORE_STATE2(sb, s0b, s1b);
-}
-
 #endif /* __x86_64__ && __GNUC__ */
 
 /* ------------------------------------------------------------------ */
-/* Dispatch + OCaml entry points                                      */
+/* OCaml entry points                                                 */
 /* ------------------------------------------------------------------ */
 
-/* 0 = undetected, 1 = SHA-NI, 2 = scalar C. */
-static int active_backend = 0;
-
-static int detect_backend(void)
-{
-  if (active_backend == 0) {
-#ifdef FIDELIUS_SHANI_POSSIBLE
-    active_backend = shani_available() ? 1 : 2;
-#else
-    active_backend = 2;
-#endif
-  }
-  return active_backend;
-}
-
+/* 1 = SHA-NI, 0 = no hash unit (the OCaml compression runs instead). */
 CAMLprim value fidelius_sha256_backend(value unit)
 {
   (void)unit;
-  return Val_long(detect_backend());
+#ifdef FIDELIUS_SHANI_POSSIBLE
+  return Val_long(shani_available());
+#else
+  return Val_long(0);
+#endif
 }
 
+/* Reached only when fidelius_sha256_backend reported SHA-NI. */
 CAMLprim value fidelius_sha256_compress_many(value vh, value vbuf, value voff,
                                              value vnblocks)
 {
+#ifdef FIDELIUS_SHANI_POSSIBLE
   uint32_t state[8];
   const unsigned char *p =
       (const unsigned char *)Bytes_val(vbuf) + Long_val(voff);
-  long nblocks = Long_val(vnblocks);
 
   for (int i = 0; i < 8; i++) state[i] = (uint32_t)Long_val(Field(vh, i));
-
-#ifdef FIDELIUS_SHANI_POSSIBLE
-  if (detect_backend() == 1)
-    compress_shani(state, p, nblocks);
-  else
-#endif
-    compress_scalar(state, p, nblocks);
-
+  compress_shani(state, p, Long_val(vnblocks));
   /* Immediates only — no write barrier needed. */
   for (int i = 0; i < 8; i++) Field(vh, i) = Val_long(state[i]);
-  return Val_unit;
-}
-
-CAMLprim value fidelius_sha256_compress2(value vh1, value vb1, value vo1,
-                                         value vh2, value vb2, value vo2,
-                                         value vnblocks)
-{
-  uint32_t sa[8], sb[8];
-  const unsigned char *pa =
-      (const unsigned char *)Bytes_val(vb1) + Long_val(vo1);
-  const unsigned char *pb =
-      (const unsigned char *)Bytes_val(vb2) + Long_val(vo2);
-  long nblocks = Long_val(vnblocks);
-
-  for (int i = 0; i < 8; i++) sa[i] = (uint32_t)Long_val(Field(vh1, i));
-  for (int i = 0; i < 8; i++) sb[i] = (uint32_t)Long_val(Field(vh2, i));
-
-#ifdef FIDELIUS_SHANI_POSSIBLE
-  if (detect_backend() == 1) {
-    compress2_shani(sa, pa, sb, pb, nblocks);
-  } else
+#else
+  (void)vh; (void)vbuf; (void)voff; (void)vnblocks;
 #endif
-  {
-    /* Scalar superscalar gains are marginal; run the streams back to
-     * back — the results are identical either way. */
-    compress_scalar(sa, pa, nblocks);
-    compress_scalar(sb, pb, nblocks);
-  }
-
-  for (int i = 0; i < 8; i++) Field(vh1, i) = Val_long(sa[i]);
-  for (int i = 0; i < 8; i++) Field(vh2, i) = Val_long(sb[i]);
   return Val_unit;
-}
-
-CAMLprim value fidelius_sha256_compress2_byte(value *argv, int argn)
-{
-  (void)argn;
-  return fidelius_sha256_compress2(argv[0], argv[1], argv[2], argv[3],
-                                   argv[4], argv[5], argv[6]);
 }

@@ -10,6 +10,18 @@ let chunks ~njobs ~ndomains =
 let workers ~njobs ~ndomains =
   min (recommended_domains ()) (List.length (chunks ~njobs ~ndomains))
 
+(* The inverse of the balanced split [chunks] makes of jobs, applied to
+   chunks: the first [r] workers own [q + 1] consecutive chunks, the rest
+   [q]. *)
+let chunk_worker ~nchunks ~nworkers i =
+  if nchunks < 1 then invalid_arg "Pool.chunk_worker: nchunks must be >= 1";
+  if nworkers < 1 then invalid_arg "Pool.chunk_worker: nworkers must be >= 1";
+  if i < 0 || i >= nchunks then invalid_arg "Pool.chunk_worker: chunk out of range";
+  let w = min nworkers nchunks in
+  let q = nchunks / w and r = nchunks mod w in
+  let big = r * (q + 1) in
+  if i < big then i / (q + 1) else r + ((i - big) / q)
+
 exception Job_failed of { job : int; exn : exn }
 
 (* One slot per job, written by exactly one worker domain; [Domain.join]
@@ -36,8 +48,9 @@ let map_gen ~who ?domains ~njobs ~init ~finish f =
        observably differ.
 
        At most [recommended_domains ()] worker domains exist per call:
-       chunks beyond the cap are multiplexed round-robin onto the workers,
-       each of which runs its chunks in order. Two failure modes are
+       chunks beyond the cap are dealt to the workers in contiguous blocks
+       ([chunk_worker]), so each worker runs one contiguous job range in
+       order. Two failure modes are
        avoided at once. Spawning all requested domains concurrently
        oversubscribes the cores, and OCaml 5's minor GC is a
        stop-the-world rendezvous across running domains, so every
@@ -52,9 +65,14 @@ let map_gen ~who ?domains ~njobs ~init ~finish f =
        the slot each job writes, so results and artifacts stay
        byte-identical for every domain count. *)
     let chunk_list = chunks ~njobs ~ndomains in
-    let nworkers = min (recommended_domains ()) (List.length chunk_list) in
+    let nchunks = List.length chunk_list in
+    let nworkers = min (recommended_domains ()) nchunks in
     let groups = Array.make nworkers [] in
-    List.iteri (fun i c -> groups.(i mod nworkers) <- c :: groups.(i mod nworkers)) chunk_list;
+    List.iteri
+      (fun i c ->
+        let w = chunk_worker ~nchunks ~nworkers i in
+        groups.(w) <- c :: groups.(w))
+      chunk_list;
     let spawned =
       Array.to_list
         (Array.mapi

@@ -19,7 +19,8 @@
     Requested parallelism and spawned domains are decoupled: [domains]
     fixes the chunking (and therefore the results), while the number of
     worker domains actually spawned is capped at {!recommended_domains},
-    with excess chunks multiplexed round-robin onto the workers. OCaml
+    with excess chunks dealt to the workers in contiguous blocks
+    ({!chunk_worker}), so each worker owns one contiguous job range. OCaml
     5's minor GC is a stop-the-world rendezvous over all running
     domains, so running more domains than cores stalls every allocation
     on timesliced stragglers, and even {e sequential} extra domains pay
@@ -68,6 +69,16 @@ val chunks : njobs:int -> ndomains:int -> (int * int) list
     [max njobs 1] domains are used, so no worker is ever empty (except
     the single worker of an empty job list). Raises [Invalid_argument]
     if [njobs < 0] or [ndomains < 1]. *)
+
+val chunk_worker : nchunks:int -> nworkers:int -> int -> int
+(** [chunk_worker ~nchunks ~nworkers i] is the worker that runs chunk [i]
+    of [nchunks] when [nworkers] workers exist ({!map} passes
+    [workers ~njobs ~ndomains]). Workers own contiguous, in-order blocks
+    of chunks whose sizes differ by at most one — the same balanced split
+    {!chunks} makes of jobs — so each worker runs one contiguous job
+    range. A pure function of its arguments; [nworkers] is clamped to
+    [nchunks]. Raises [Invalid_argument] if [nchunks < 1],
+    [nworkers < 1] or [i] is not in [0 .. nchunks - 1]. *)
 
 exception Job_failed of { job : int; exn : exn }
 (** Raised by {!map} after all workers have joined, carrying the

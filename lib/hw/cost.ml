@@ -78,7 +78,7 @@ let default = {
 (* ---- category interning ----------------------------------------------
 
    Category labels are resolved once to dense int ids, so the per-access
-   [charge] is two array adds instead of string-hashed table lookups. The
+   [charge_id] is two array adds instead of string-hashed table lookups. The
    registry is global (labels mean the same thing in every ledger) and
    effectively frozen after module init: the mutex only matters for the
    rare dynamically-built label, and readers get the label array through
@@ -121,7 +121,7 @@ let nr_ids () = Mutex.protect registry_lock (fun () -> Hashtbl.length registry)
    of 0 cycles still makes the category (or the scope's category row)
    visible in listings. Scope frames are persistent per label — resolved
    once per [with_scope] entry, then the innermost frame is a cached
-   pointer the hot [charge] adds through — and the stack itself is a
+   pointer the hot [charge_id] adds through — and the stack itself is a
    preallocated array so entering a scope does not allocate. *)
 
 type frame = {
@@ -171,7 +171,7 @@ let grow_touched touched id =
   b
 
 let negative_charge id n =
-  invalid_arg (Printf.sprintf "Cost.charge: negative charge %d to %S" n (id_label id))
+  invalid_arg (Printf.sprintf "Cost.charge_id: negative charge %d to %S" n (id_label id))
 
 let charge_id l id n =
   if n < 0 then negative_charge id n;
@@ -192,11 +192,6 @@ let charge_id l id n =
     Array.unsafe_set fr.fr_counts id (Array.unsafe_get fr.fr_counts id + n);
     Bytes.unsafe_set fr.fr_touched id '\001'
   end
-
-let charge l cat n =
-  if n < 0 then
-    invalid_arg (Printf.sprintf "Cost.charge: negative charge %d to %S" n cat);
-  charge_id l (intern cat) n
 
 let frame_of l scope =
   match Hashtbl.find l.frames scope with
@@ -317,8 +312,6 @@ let reset l =
      into orphaned storage, exactly as the old string-keyed tables did
      after a mid-scope reset. *)
   l.frames <- Hashtbl.create 8
-
-let snapshot = total
 
 let pp fmt l =
   Format.fprintf fmt "@[<v>total: %d cycles" l.cycles;

@@ -67,15 +67,11 @@ val id_label : id -> string
 (** The label a given id was registered under. *)
 
 val charge_id : ledger -> id -> int -> unit
-(** Interned fast path of {!charge}: identical booking semantics (total,
-    category row — visible even for a 0-cycle charge — and the innermost
-    active scope), without string hashing or allocation. *)
-
-val charge : ledger -> string -> int -> unit
-(** [charge l category cycles] adds to the total, the category, and (when a
-    scope is active) the innermost scope. Negative amounts would corrupt
-    the attribution invariants and raise [Invalid_argument]. Thin wrapper
-    over {!intern} + {!charge_id}; hot sites should pre-intern. *)
+(** [charge_id l id cycles] adds to the total, the category row (visible
+    even for a 0-cycle charge), and (when a scope is active) the innermost
+    scope, without string hashing or allocation. Negative amounts would
+    corrupt the attribution invariants and raise [Invalid_argument]. The
+    only way to charge cycles: sites {!intern} their label once. *)
 
 val root_scope : string
 (** ["(root)"] — the implicit scope owning every cycle charged outside any
@@ -121,8 +117,5 @@ val scope_categories : ledger -> string -> (string * int) list
     each category not booked to any named scope). *)
 
 val reset : ledger -> unit
-
-val snapshot : ledger -> int
-(** Alias of {!total}; convenient for delta measurements. *)
 
 val pp : Format.formatter -> ledger -> unit

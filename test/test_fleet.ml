@@ -42,6 +42,52 @@ let test_chunks_pure () =
     (Invalid_argument "Pool.chunks: ndomains must be >= 1") (fun () ->
       ignore (Pool.chunks ~njobs:4 ~ndomains:0))
 
+(* The chunk -> worker deal for the 1-, 2-, 3-, 4- and 8-worker pools, on
+   any host: every worker owns a non-empty, contiguous, in-order block of
+   chunks (block sizes within one of each other), so the jobs it runs form
+   one contiguous range. *)
+let test_chunk_worker_contiguous () =
+  List.iter
+    (fun nworkers ->
+      List.iter
+        (fun (njobs, ndomains) ->
+          let cs = Pool.chunks ~njobs ~ndomains in
+          let nchunks = List.length cs in
+          let owners = List.init nchunks (Pool.chunk_worker ~nchunks ~nworkers) in
+          let used = min nworkers nchunks in
+          let label what =
+            Printf.sprintf "%d workers, %d jobs, %d domains: %s" nworkers njobs ndomains what
+          in
+          let block w = List.length (List.filter (( = ) w) owners) in
+          let sizes = List.init used block in
+          Alcotest.(check (list int)) (label "owners in ascending order")
+            (List.sort compare owners) owners;
+          Alcotest.(check bool) (label "every worker owns a block") true
+            (List.for_all (fun n -> n > 0) sizes
+            && List.for_all (fun w -> w >= 0 && w < used) owners);
+          Alcotest.(check bool) (label "block sizes differ by at most one") true
+            (List.fold_left max 0 sizes - List.fold_left min max_int sizes <= 1);
+          let jobs w =
+            List.concat
+              (List.mapi
+                 (fun i (s, l) -> if List.nth owners i = w then List.init l (( + ) s) else [])
+                 cs)
+          in
+          List.iter
+            (fun w ->
+              let js = jobs w in
+              Alcotest.(check (list int)) (label (Printf.sprintf "worker %d job range" w))
+                (List.init (List.length js) (( + ) (List.hd js))) js)
+            (List.init used Fun.id))
+        [ (1, 1); (2, 2); (3, 8); (4, 4); (5, 3); (7, 7); (8, 8); (13, 4); (17, 16);
+          (32, 32); (100, 7) ])
+    [ 1; 2; 3; 4; 8 ];
+  Alcotest.(check (list int)) "5 chunks over 2 workers" [ 0; 0; 0; 1; 1 ]
+    (List.init 5 (Pool.chunk_worker ~nchunks:5 ~nworkers:2));
+  Alcotest.check_raises "chunk out of range"
+    (Invalid_argument "Pool.chunk_worker: chunk out of range") (fun () ->
+      ignore (Pool.chunk_worker ~nchunks:3 ~nworkers:2 3))
+
 (* --- map: order, edge cases, failure ------------------------------------- *)
 
 let test_map_canonical_order () =
@@ -392,7 +438,8 @@ let () =
   Alcotest.run "fleet"
     [ ( "chunks",
         [ QCheck_alcotest.to_alcotest test_chunks_partition;
-          Alcotest.test_case "pure and validated" `Quick test_chunks_pure ] );
+          Alcotest.test_case "pure and validated" `Quick test_chunks_pure;
+          Alcotest.test_case "contiguous worker blocks" `Quick test_chunk_worker_contiguous ] );
       ( "pool",
         [ Alcotest.test_case "canonical order" `Quick test_map_canonical_order;
           Alcotest.test_case "empty job list" `Quick test_map_empty;

@@ -17,8 +17,8 @@ module Json = Obs.Json
 
 let test_scope_basics () =
   let l = Cost.ledger () in
-  Cost.charge l "a" 10;
-  Cost.with_scope l "dom1" (fun () -> Cost.charge l "a" 5);
+  Cost.charge_id l (Cost.intern "a") 10;
+  Cost.with_scope l "dom1" (fun () -> Cost.charge_id l (Cost.intern "a") 5);
   Alcotest.(check int) "total" 15 (Cost.total l);
   Alcotest.(check int) "dom1" 5 (Cost.scope_total l "dom1");
   Alcotest.(check int) "root remainder" 10 (Cost.scope_total l Cost.root_scope);
@@ -29,9 +29,9 @@ let test_scope_basics () =
 let test_scope_innermost_only () =
   let l = Cost.ledger () in
   Cost.with_scope l "outer" (fun () ->
-      Cost.charge l "a" 1;
-      Cost.with_scope l "inner" (fun () -> Cost.charge l "a" 2);
-      Cost.charge l "a" 4);
+      Cost.charge_id l (Cost.intern "a") 1;
+      Cost.with_scope l "inner" (fun () -> Cost.charge_id l (Cost.intern "a") 2);
+      Cost.charge_id l (Cost.intern "a") 4);
   Alcotest.(check int) "outer books its own charges only" 5
     (Cost.scope_total l "outer");
   Alcotest.(check int) "inner" 2 (Cost.scope_total l "inner");
@@ -39,17 +39,17 @@ let test_scope_innermost_only () =
 
 let test_scope_exception_safety () =
   let l = Cost.ledger () in
-  (try Cost.with_scope l "doomed" (fun () -> Cost.charge l "a" 3; failwith "boom")
+  (try Cost.with_scope l "doomed" (fun () -> Cost.charge_id l (Cost.intern "a") 3; failwith "boom")
    with Failure _ -> ());
-  Cost.charge l "a" 7;
+  Cost.charge_id l (Cost.intern "a") 7;
   Alcotest.(check int) "scope popped on raise" 7 (Cost.scope_total l Cost.root_scope);
   Alcotest.(check int) "charges inside kept" 3 (Cost.scope_total l "doomed")
 
 let test_negative_charge_rejected () =
   let l = Cost.ledger () in
   Alcotest.check_raises "negative"
-    (Invalid_argument "Cost.charge: negative charge -4 to \"dram\"") (fun () ->
-      Cost.charge l "dram" (-4));
+    (Invalid_argument "Cost.charge_id: negative charge -4 to \"dram\"") (fun () ->
+      Cost.charge_id l (Cost.intern "dram") (-4));
   Alcotest.(check int) "nothing booked" 0 (Cost.total l)
 
 let test_root_scope_reserved () =
@@ -61,8 +61,8 @@ let test_root_scope_reserved () =
 
 let test_categories_tie_break () =
   let l = Cost.ledger () in
-  List.iter (fun c -> Cost.charge l c 5) [ "zeta"; "alpha"; "mid" ];
-  Cost.charge l "big" 9;
+  List.iter (fun c -> Cost.charge_id l (Cost.intern c) 5) [ "zeta"; "alpha"; "mid" ];
+  Cost.charge_id l (Cost.intern "big") 9;
   Alcotest.(check (list (pair string int))) "desc count, asc name on ties"
     [ ("big", 9); ("alpha", 5); ("mid", 5); ("zeta", 5) ]
     (Cost.categories l)
@@ -101,7 +101,7 @@ let arbitrary_ops =
 let scope_name i = Printf.sprintf "scope%d" i
 
 let rec interpret l = function
-  | Charge c -> Cost.charge l "work" c
+  | Charge c -> Cost.charge_id l (Cost.intern "work") c
   | Scoped (s, ops) ->
       Cost.with_scope l (scope_name s) (fun () -> List.iter (interpret l) ops)
 
@@ -149,10 +149,10 @@ let test_disabled_emits_nothing () =
 let test_clock_and_scope_tagging () =
   let l = Cost.ledger () in
   with_trace ~clock:(fun () -> Cost.total l) (fun () ->
-      Cost.charge l "setup" 100;
+      Cost.charge_id l (Cost.intern "setup") 100;
       Trace.emit (Trace.Mark "before");
       Cost.with_scope l "dom7" (fun () ->
-          Cost.charge l "work" 23;
+          Cost.charge_id l (Cost.intern "work") 23;
           Trace.emit (Trace.Mark "inside"));
       match Trace.entries () with
       | [ a; b ] ->
