@@ -1,8 +1,10 @@
 # Convenience entry points; everything is plain dune underneath.
 #
 #   make build       compile everything
-#   make test        full test suite (includes the trace-export and fleet
-#                    determinism smoke checks)
+#   make test        full test suite: includes the trace-export and bechamel
+#                    smoke aliases and the fleet, serve and migrate checks
+#                    (determinism, bounded heap, no scaling inversion, ring
+#                    amortization, pre-copy trade-off, firmware rollback)
 #   make doc         API docs via odoc, warnings-as-errors (skips if odoc absent)
 #   make doc-strict  same, but odoc missing is an error (ODOC_REQUIRED=1)
 #   make matrix      differential fault-injection matrix (nonzero exit on any
@@ -13,10 +15,8 @@
 #                    otherwise; skips with a message on hosts under 4 cores)
 #   make serve       traffic-serving benchmark over the batched PV datapath
 #                    (ring throughput sync vs batched, serve sweep -> bench.json)
-#   make serve-smoke fast doorbell-amortization and determinism check
 #   make migrate     fleet live-migration benchmark: pages sent vs downtime
 #                    budget across fleet sizes (results/migrate.csv, bench.json)
-#   make migrate-smoke  fast pre-copy/monotonicity/determinism/rollback check
 #   make perf        re-measure the bechamel primitives and print the
 #                    speedup against the recorded results/bench.json baseline
 #   make perf-gate   regression gate over the pinned fast-path keys: any key
@@ -28,10 +28,9 @@
 #                    every tier this CPU can run (nonzero exit on any
 #                    mismatch)
 #   make check       what CI runs: build + tests + crypto self-test + matrix
-#                    + fleet smoke + serve smoke + migrate smoke + perf gate
-#                    + docs
+#                    + perf gate + docs
 
-.PHONY: build test doc doc-strict matrix fleet fleet-smoke fleet-scale serve serve-smoke migrate migrate-smoke perf perf-gate crypto-selftest check clean
+.PHONY: build test doc doc-strict matrix fleet fleet-scale serve migrate perf perf-gate crypto-selftest check clean
 
 build:
 	dune build @all
@@ -51,23 +50,14 @@ matrix:
 fleet:
 	dune exec bench/main.exe -- fleet
 
-fleet-smoke:
-	dune build @fleet-smoke
-
 fleet-scale:
 	dune exec bench/main.exe -- fleet-scale
-
-serve-smoke:
-	dune build @serve-smoke
 
 serve:
 	dune exec bench/main.exe -- serve
 
 migrate:
 	dune exec bench/main.exe -- migrate
-
-migrate-smoke:
-	dune build @migrate-smoke
 
 perf:
 	dune exec bench/main.exe -- perf
@@ -79,7 +69,7 @@ crypto-selftest:
 	dune exec bin/fidelius_sim.exe -- cpu-features
 	dune exec test/test_crypto.exe -- test '^(aes-backend|golden)$$'
 
-check: build test crypto-selftest matrix fleet-smoke serve-smoke migrate-smoke perf-gate doc
+check: build test crypto-selftest matrix perf-gate doc
 
 clean:
 	dune clean

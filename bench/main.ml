@@ -4,7 +4,8 @@
    the security matrix, the ablations of DESIGN.md §4, and Bechamel
    wall-clock measurements of the hot primitives.
 
-   Usage: main.exe [fig5|fig6|tab3|micro|xsa|attacks|tab1|tab2|ablate|bechamel|perf|fleet|migrate|all]
+   Usage: main.exe [fig5|fig6|tab3|micro|xsa|attacks|tab1|tab2|ablate|bechamel|bechamel-smoke|
+                    perf|perf-gate|fleet|fleet-scale|serve|migrate|all]
           main.exe fleet [--vms N] [--domains 1,2,4,8] [--gc-stats]
           main.exe fleet-scale [--vms N]
           main.exe migrate [--budgets 2.5,10,40] [--fleets 8,16]
@@ -504,9 +505,9 @@ let print_gc_stats gc =
 
 (* The deterministic artifacts (per-VM CSV, merged Chrome trace) are
    streamed to disk by every run — the fleet determinism contract
-   (pinned in test/test_fleet.ml) says every run writes identical bytes,
-   and the smoke rule re-checks it across two domain counts and against
-   the in-memory path. Only the VMs/sec column is wall-clock. *)
+   (pinned in test/test_fleet.ml across domain counts and against the
+   in-memory path) says every run writes identical bytes. Only the
+   VMs/sec column is wall-clock. *)
 let fleet ?(vms = 16) ?(domain_counts = [ 1; 2; 4; 8 ]) ?(gc_stats = false) ?(record = true) ()
     =
   header
@@ -589,99 +590,14 @@ let fleet_scale ?(vms = 32) () =
     else Printf.printf "fleet-scale: OK (%.2fx >= 2.0x)\n" ratio
   end
 
-(* Tiny fleet for CI: checks the sharded run still works, that two domain
-   counts produce byte-identical artifacts, that the streaming/arena path
-   writes the same bytes the in-memory path returns, that a streamed run
-   leaves no per-VM residue on the live heap, and that asking for more
-   domains does not make the run slower (the scaling inversion PR 5
-   fixed), in a few seconds. *)
-let fleet_smoke () =
-  let read_file path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let tmp name = Filename.concat (Filename.get_temp_dir_name ()) ("fidelius-" ^ name) in
-  (* Scope the determinism check so neither run's results (trace events)
-     stay alive during the timed comparison below. *)
-  let check_artifacts () =
-    let a = W.Fleetbench.run ~domains:1 ~vms:4 () in
-    let b = W.Fleetbench.run ~domains:3 ~vms:4 () in
-    if W.Fleetbench.csv a <> W.Fleetbench.csv b then
-      failwith "fleet-smoke: per-VM CSV differs between domain counts";
-    if
-      Fidelius_obs.Json.to_string (W.Fleetbench.chrome a)
-      <> Fidelius_obs.Json.to_string (W.Fleetbench.chrome b)
-    then failwith "fleet-smoke: merged Chrome trace differs between domain counts";
-    (* Streaming + arena reuse must be invisible in the bytes. *)
-    let csv = tmp "fleet-smoke.csv" and trace = tmp "fleet-smoke-trace.json" in
-    ignore (W.Fleetbench.run_stream ~domains:3 ~vms:4 ~csv ~trace ());
-    if read_file csv <> W.Fleetbench.csv a then
-      failwith "fleet-smoke: streamed CSV differs from the in-memory merge";
-    if read_file trace <> Fidelius_obs.Json.to_string (W.Fleetbench.chrome a) ^ "\n" then
-      failwith "fleet-smoke: streamed Chrome trace differs from the in-memory merge";
-    Sys.remove csv;
-    Sys.remove trace
-  in
-  check_artifacts ();
-  Printf.printf
-    "fleet-smoke: 4 VMs, domains 1 vs 3, in-memory vs streamed: artifacts byte-identical\n";
-  (* Bounded-memory guard for the 1,000-VM story: a streamed 100-VM run
-     must not grow the live heap with per-VM state (rows are ~a dozen
-     words each; trace events must all have been spilled and collected,
-     arenas freed with their worker domains). The 2M-word (~16 MiB)
-     ceiling is far above the rows yet far below what one retained trace
-     shard population (100 rings' worth of entries) would cost. *)
-  let live_words () =
-    Gc.full_major ();
-    (Gc.stat ()).Gc.live_words
-  in
-  let csv = tmp "fleet-smoke-100.csv" and trace = tmp "fleet-smoke-100-trace.json" in
-  ignore (W.Fleetbench.run_stream ~domains:2 ~vms:8 ~csv ~trace ());
-  let before = live_words () in
-  ignore (W.Fleetbench.run_stream ~domains:4 ~vms:100 ~csv ~trace ());
-  let growth = live_words () - before in
-  Sys.remove csv;
-  Sys.remove trace;
-  if growth > 2_000_000 then
-    failwith
-      (Printf.sprintf
-         "fleet-smoke: streamed 100-VM run grew the live heap by %d words (> 2M): per-VM \
-          state is being retained"
-         growth);
-  Printf.printf "fleet-smoke: 100 streamed VMs grew the live heap by %d words (bounded)\n"
-    growth;
-  (* The two runs above double as warmup. Generous slack (d2 may be up to
-     1/0.7 = 1.43x slower) because a smoke box is noisy; the real curve is
-     recorded by the full fleet section. Before the worker-domain cap in
-     Fidelius_fleet.Pool, d2 was reliably beyond even this slack on a
-     single-core host. *)
-  let timed d =
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    ignore (W.Fleetbench.run ~domains:d ~vms:8 ());
-    Unix.gettimeofday () -. t0
-  in
-  let t1 = timed 1 in
-  let t2 = timed 2 in
-  let rate1 = 8.0 /. t1 and rate2 = 8.0 /. t2 in
-  if rate2 < 0.7 *. rate1 then
-    failwith
-      (Printf.sprintf
-         "fleet-smoke: scaling inversion: domains=2 ran at %.1f VMs/s vs %.1f VMs/s for \
-          domains=1 (below the 0.7x slack)"
-         rate2 rate1);
-  Printf.printf "fleet-smoke: 8 VMs, d1 %.1f VMs/s vs d2 %.1f VMs/s: no inversion\n" rate1 rate2
-
 (* ---- serve: traffic over the batched PV datapath --------------------------------------- *)
 
 (* Wall-clock requests/second through the shared ring: the same kernel at
    1 and [batch] descriptors per doorbell. Median of three runs — the
    doorbell (a full protected-guest world switch) dominates the synchronous
    path, so the ratio is what the batching actually buys. *)
-let ring_rates ?(iters = 4000) ?(runs = 3) batch =
+let ring_rates batch =
+  let iters = 4000 and runs = 3 in
   let kernel = W.Serve.ring_workload ~batch ~iters in
   kernel ();
   (* warmup *)
@@ -729,40 +645,6 @@ let serve ?(requests = 512) ?(batches = [ 1; 2; 4; 8 ]) ?(record = true) () =
   in
   if record then update_bench_json kvs
 
-(* Serve smoke for CI: the batched datapath must still amortize the
-   doorbell, batching must reduce world switches, and the batch-1 report
-   must be deterministic for a fixed seed. Seconds, not minutes.
-
-   Floor calibration: the original 3.5x slack (against a 5x full-bench
-   ratio) dated from when the doorbell crossing cost ~14.5us of wall
-   clock. The zero-alloc fast path cut the crossing roughly 3x, so the
-   fixed cost that batching amortizes is a smaller share of each request
-   and the honest wall-clock ratio landed at 2.3-3.7x on a 1-core box.
-   The amortization claim itself (fewer world switches per request, ratio
-   well above 1) is unchanged — the simulated-cycle ledger still shows the
-   full doorbell saving — so the smoke floor is now 1.8x. *)
-let serve_smoke () =
-  let sync_rate = ring_rates ~iters:2000 1 in
-  let batch_rate = ring_rates ~iters:2000 8 in
-  let ratio = batch_rate /. sync_rate in
-  if ratio < 1.8 then
-    failwith
-      (Printf.sprintf
-         "serve-smoke: batch-8 ring throughput only %.2fx the synchronous path (smoke floor \
-          1.8x)"
-         ratio);
-  let run b = W.Serve.run { W.Serve.default_config with W.Serve.batch = b; requests = 64 } in
-  let r1 = run 1 and r1' = run 1 and r8 = run 8 in
-  if r1 <> r1' then failwith "serve-smoke: batch-1 serve report is not deterministic";
-  if r8.W.Serve.hypercalls >= r1.W.Serve.hypercalls then
-    failwith
-      (Printf.sprintf "serve-smoke: batch-8 took %d world switches vs %d at batch-1"
-         r8.W.Serve.hypercalls r1.W.Serve.hypercalls);
-  Printf.printf
-    "serve-smoke: ring batch-8 %.2fx sync; %d -> %d hypercalls at batch 8; batch-1 \
-     deterministic\n"
-    ratio r1.W.Serve.hypercalls r8.W.Serve.hypercalls
-
 (* ---- migrate: fleet live migration under a downtime budget ----------------------------- *)
 
 (* The pages-sent vs downtime-budget trade-off across fleet sizes: every
@@ -772,7 +654,7 @@ let serve_smoke () =
    earlier, so total pages sent decreases monotonically as the budget
    grows (the guest's working set halves every round). All per-VM rows
    land in results/migrate.csv; the artifacts are deterministic at any
-   domain count (the SCALING.md contract, re-checked by migrate-smoke). *)
+   domain count (the SCALING.md contract, pinned in test/test_migrate.ml). *)
 let migrate_bench ?(budgets = [ 2.5; 10.0; 40.0 ]) ?(fleets = [ 8; 16 ]) ?(record = true) () =
   header "Migrate: fleet live migration, pages sent vs downtime budget (attested key release)";
   Printf.printf "%10s %6s %10s %10s %13s %13s\n" "budget-us" "vms" "seconds" "VMs/sec"
@@ -821,53 +703,6 @@ let migrate_bench ?(budgets = [ 2.5; 10.0; 40.0 ]) ?(fleets = [ 8; 16 ]) ?(recor
               float_of_int vms /. dt);
              (Printf.sprintf "migrate/total-pages-b%g-f%d" budget_us vms, float_of_int pages) ])
          cells)
-
-(* Migrate smoke for CI: real pre-copy rounds must happen, the pages-sent
-   vs budget trade-off must be monotone, the per-VM CSV must be
-   byte-identical across domain counts, and a firmware-rollback platform
-   must be refused with the typed error and the disk key provably never
-   released. Seconds, not minutes. *)
-let migrate_smoke () =
-  let tight = W.Migratebench.run ~domains:1 ~vms:4 ~budget_us:2.5 () in
-  let loose = W.Migratebench.run ~domains:1 ~vms:4 ~budget_us:40.0 () in
-  if not (List.exists (fun r -> r.W.Migratebench.rounds > 2) tight.W.Migratebench.rows) then
-    failwith "migrate-smoke: no migration took multiple pre-copy rounds";
-  let pt = W.Migratebench.total_pages tight and pl = W.Migratebench.total_pages loose in
-  if pt <= pl then
-    failwith
-      (Printf.sprintf
-         "migrate-smoke: pages-sent not monotone vs downtime budget (%d @2.5us <= %d @40us)" pt
-         pl);
-  if not (W.Migratebench.all_keys_delivered tight && W.Migratebench.all_keys_delivered loose)
-  then failwith "migrate-smoke: a migration finished without its disk key";
-  let a = W.Migratebench.csv (W.Migratebench.run ~domains:1 ~vms:4 ~budget_us:10.0 ()) in
-  let b = W.Migratebench.csv (W.Migratebench.run ~domains:2 ~vms:4 ~budget_us:10.0 ()) in
-  if a <> b then failwith "migrate-smoke: per-VM CSV differs between domain counts";
-  (* Rollback: the destination host quotes from a firmware blob older than
-     the owner's floor; the owner must refuse with the typed error and the
-     release gate must never open. *)
-  let stack1 = installed_stack 71L in
-  let _, _, fid1 = stack1 in
-  let dom = protected_guest stack1 "smoke" 16 in
-  let _, _, fid2 = installed_stack 72L in
-  let owner = Core.Migrate.Owner.create (Rng.create 73L) in
-  Fidelius_inject.Plan.install
-    (Fidelius_inject.Plan.make ~seed:1L
-       [ Fidelius_inject.Plan.always Fidelius_inject.Site.Stale_firmware ]);
-  let result = Core.Migrate.migrate_live ~owner ~src:fid1 ~dst:fid2 dom in
-  Fidelius_inject.Plan.uninstall ();
-  (match result with
-  | Error (Core.Migrate.Stale_firmware _) -> ()
-  | Error e ->
-      failwith ("migrate-smoke: rollback refused with the wrong error: "
-                ^ Core.Migrate.error_to_string e)
-  | Ok _ -> failwith "migrate-smoke: rolled-back platform was accepted");
-  if Core.Migrate.Owner.released owner || Core.Migrate.Owner.release_count owner <> 0 then
-    failwith "migrate-smoke: disk key released to a rolled-back platform";
-  Printf.printf
-    "migrate-smoke: %d pages @2.5us > %d pages @40us; d1 vs d2 byte-identical; rollback \
-     refused, key never released\n"
-    pt pl
 
 (* ---- perf delta ------------------------------------------------------------------------ *)
 
@@ -1042,7 +877,6 @@ let () =
   | "perf" -> perf ()
   | "perf-gate" -> perf_gate ()
   | "fleet" -> fleet_cli ()
-  | "fleet-smoke" -> fleet_smoke ()
   | "fleet-scale" ->
       let vms = Option.map int_of_string (flag_arg "--vms") in
       fleet_scale ?vms ()
@@ -1054,7 +888,6 @@ let () =
           (flag_arg "--batches")
       in
       serve ?requests ?batches ()
-  | "serve-smoke" -> serve_smoke ()
   | "migrate" ->
       let budgets =
         Option.map
@@ -1067,12 +900,11 @@ let () =
           (flag_arg "--fleets")
       in
       migrate_bench ?budgets ?fleets ()
-  | "migrate-smoke" -> migrate_smoke ()
   | "all" -> all ()
   | other ->
       Printf.eprintf
         "unknown section %S; expected \
          fig5|fig6|tab3|micro|xsa|attacks|tab1|tab2|ablate|bechamel|bechamel-smoke|perf|\
-         fleet|fleet-smoke|fleet-scale|serve|serve-smoke|migrate|migrate-smoke|all\n"
+         fleet|fleet-scale|serve|migrate|all\n"
         other;
       exit 1

@@ -286,21 +286,23 @@ let trace scenario out format seed =
   | "demo" -> (
       let machine = Hw.Machine.create ~seed () in
       let ledger = machine.Hw.Machine.ledger in
-      Obs.Trace.enable ~clock:(fun () -> Hw.Cost.total ledger) ();
-      run_demo_scenario ~quiet:true machine;
-      Obs.Trace.disable ();
+      let ring = Obs.Trace.ring () in
+      Obs.Trace.record_into ring
+        ~clock:(fun () -> Hw.Cost.total ledger)
+        (fun () -> run_demo_scenario ~quiet:true machine);
       let attribution = Hw.Cost.scopes ledger in
       let total = Hw.Cost.total ledger in
       let content, validation =
         match format with
         | "chrome" ->
             let c =
-              Obs.Json.to_string (Obs.Trace.to_chrome ~attribution ~total_cycles:total ())
+              Obs.Json.to_string
+                (Obs.Trace.chrome_of_ring ~attribution ~total_cycles:total ring)
               ^ "\n"
             in
             (c, validate_chrome c ~total)
         | "jsonl" ->
-            let c = Obs.Trace.to_jsonl () in
+            let c = Obs.Trace.jsonl_of (Obs.Trace.ring_entries ring) in
             (c, validate_jsonl c)
         | other -> ("", Error (Printf.sprintf "unknown format %S (chrome|jsonl)" other))
       in
@@ -312,7 +314,7 @@ let trace scenario out format seed =
           Out_channel.with_open_bin out (fun oc -> output_string oc content);
           Printf.printf
             "trace: %d events recorded (%d dropped), %d cycles attributed across %d scopes -> %s\n"
-            events (Obs.Trace.dropped ()) (sum_counts attribution)
+            events (Obs.Trace.ring_dropped ring) (sum_counts attribution)
             (List.length attribution) out;
           `Ok ())
   | other -> `Error (false, Printf.sprintf "unknown scenario %S (only: demo)" other)

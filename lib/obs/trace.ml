@@ -26,19 +26,19 @@ let default_capacity = 65536
 type state = {
   mutable on : bool;
   mutable buf : entry array;
-  mutable capacity : int;
+  capacity : int;
   mutable next : int;  (* slot the next entry lands in *)
-  mutable total : int;  (* entries emitted since last clear *)
+  mutable total : int;  (* entries emitted since the last reset *)
   mutable clock : unit -> int;
   mutable scopes : string list;
 }
 
 let dummy = { seq = -1; ts = 0; scope = ""; event = Mark "" }
 
-let fresh_state () =
+let fresh_state ?(capacity = default_capacity) () =
   { on = false;
     buf = [||];
-    capacity = default_capacity;
+    capacity;
     next = 0;
     total = 0;
     clock = (fun () -> 0);
@@ -46,30 +46,15 @@ let fresh_state () =
 
 (* One recording per domain: every fleet shard (and the main domain) owns
    its own ring, clock and scope stack, so concurrent shards can record
-   without a lock and without perturbing each other. *)
-let key = Domain.DLS.new_key fresh_state
+   without a lock and without perturbing each other. The default state is
+   never enabled; recording happens only inside [record_into]. *)
+let key = Domain.DLS.new_key (fun () -> fresh_state ())
 
 let st () = Domain.DLS.get key
 
 let enabled () = (st ()).on
 
-let clear () =
-  let st = st () in
-  st.buf <- [||];
-  st.next <- 0;
-  st.total <- 0
-
 let set_clock f = (st ()).clock <- f
-
-let enable ?(capacity = default_capacity) ?clock () =
-  if capacity <= 0 then invalid_arg "Trace.enable: capacity must be positive";
-  clear ();
-  let st = st () in
-  st.capacity <- capacity;
-  (match clock with Some f -> st.clock <- f | None -> ());
-  st.on <- true
-
-let disable () = (st ()).on <- false
 
 let push_scope s =
   let st = st () in
@@ -89,23 +74,6 @@ let emit event =
     st.total <- st.total + 1
   end
 
-let emitted () = (st ()).total
-
-let dropped () =
-  let st = st () in
-  max 0 (st.total - st.capacity)
-
-let entries_of st =
-  let n = min st.total st.capacity in
-  if n = 0 then []
-  else begin
-    (* Oldest entry sits at [next] once the ring has wrapped. *)
-    let start = if st.total > st.capacity then st.next else 0 in
-    List.init n (fun i -> st.buf.((start + i) mod st.capacity))
-  end
-
-let entries () = entries_of (st ())
-
 (* --- reusable rings ---------------------------------------------------- *)
 
 (* A ring is just an un-installed recording state: [record_into] swaps it
@@ -116,9 +84,7 @@ type ring = state
 
 let ring ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Trace.ring: capacity must be positive";
-  let s = fresh_state () in
-  s.capacity <- capacity;
-  s
+  fresh_state ~capacity ()
 
 let ring_capacity (r : ring) = r.capacity
 
@@ -143,28 +109,28 @@ let record_into (r : ring) ?clock f =
       Domain.DLS.set key saved)
     f
 
-let ring_entries (r : ring) = entries_of r
-
 let ring_length (r : ring) = min r.total r.capacity
+
+let ring_entries (r : ring) =
+  (* Oldest entry sits at [next] once the ring has wrapped. *)
+  let start = if r.total > r.capacity then r.next else 0 in
+  List.init (ring_length r) (fun i -> r.buf.((start + i) mod r.capacity))
 
 let ring_emitted (r : ring) = r.total
 
 let ring_dropped (r : ring) = max 0 (r.total - r.capacity)
 
 let ring_iter (r : ring) g =
-  let n = min r.total r.capacity in
-  if n > 0 then begin
-    let start = if r.total > r.capacity then r.next else 0 in
-    for i = 0 to n - 1 do
-      g r.buf.((start + i) mod r.capacity)
-    done
-  end
+  let start = if r.total > r.capacity then r.next else 0 in
+  for i = 0 to ring_length r - 1 do
+    g r.buf.((start + i) mod r.capacity)
+  done
 
 let capture ?(capacity = default_capacity) ?clock f =
   if capacity <= 0 then invalid_arg "Trace.capture: capacity must be positive";
   let r = ring ~capacity () in
   let result = record_into r ?clock f in
-  (result, entries_of r)
+  (result, ring_entries r)
 
 (* --- export ------------------------------------------------------------ *)
 
@@ -218,8 +184,6 @@ let jsonl_of entries =
     entries;
   Buffer.contents buf
 
-let to_jsonl () = jsonl_of (entries ())
-
 let chrome_event ?(pid = 1) ?(tid = 1) e =
   Json.Obj
     [ ("name", Json.Str (event_name e.event));
@@ -231,10 +195,10 @@ let chrome_event ?(pid = 1) ?(tid = 1) e =
       ("tid", Json.Int tid);
       ("args", Json.Obj (("seq", Json.Int e.seq) :: event_args e.event)) ]
 
-let to_chrome ?(attribution = []) ?total_cycles () =
-  let events = List.map chrome_event (entries ()) in
+let chrome_of_ring ?(attribution = []) ?total_cycles (r : ring) =
+  let events = List.map chrome_event (ring_entries r) in
   let other =
-    [ ("emitted", Json.Int (emitted ())); ("dropped", Json.Int (dropped ())) ]
+    [ ("emitted", Json.Int (ring_emitted r)); ("dropped", Json.Int (ring_dropped r)) ]
     @ (match total_cycles with Some t -> [ ("total_cycles", Json.Int t) ] | None -> [])
     @
     match attribution with

@@ -7,9 +7,10 @@
     the same seed produce byte-identical traces: the determinism contract
     the golden-trace tests pin.
 
-    The store is a ring buffer: once [capacity] events have been recorded
-    the oldest are overwritten and counted in {!dropped}. The disabled
-    path is one domain-local load — emit sites guard with
+    Events are recorded into a {!ring}: once [capacity] events have been
+    recorded the oldest are overwritten and counted in {!ring_dropped}.
+    A domain records only while {!record_into} (or {!capture}) runs; the
+    disabled path is one domain-local load — emit sites guard with
     [if Trace.enabled () then Trace.emit ...] so no event is allocated
     when tracing is off.
 
@@ -54,20 +55,6 @@ type entry = {
 val enabled : unit -> bool
 (** Whether the calling domain is recording. The cheap guard for emit
     sites: one domain-local load, no allocation. *)
-
-val enable : ?capacity:int -> ?clock:(unit -> int) -> unit -> unit
-(** Clears the calling domain's buffer and starts recording. [capacity]
-    defaults to 65536 entries; [clock] defaults to the previously
-    installed clock (a constant 0 if none was ever installed). Raises
-    [Invalid_argument] if [capacity <= 0]. *)
-
-val disable : unit -> unit
-(** Stops recording on the calling domain; the buffer is retained for
-    export. *)
-
-val clear : unit -> unit
-(** Drops every recorded entry (and the emitted/dropped counters) of the
-    calling domain's recording; on/off state and clock are untouched. *)
 
 val set_clock : (unit -> int) -> unit
 (** Install the timestamp source for the calling domain, typically
@@ -166,15 +153,6 @@ val ring_reset : ring -> unit
     reuse). {!record_into} does this implicitly; explicit reset is for
     releasing entry references early without dropping the arena. *)
 
-val entries : unit -> entry list
-(** The calling domain's recorded entries, oldest first. *)
-
-val emitted : unit -> int
-(** Total events emitted since the last {!clear}, including dropped. *)
-
-val dropped : unit -> int
-(** How many of the emitted events the ring has overwritten. *)
-
 val event_name : event -> string
 (** Stable wire name of the event constructor (e.g. ["tlb-flush"]). *)
 
@@ -183,20 +161,20 @@ val event_args : event -> (string * Json.t) list
     deterministic, so exports are byte-stable. *)
 
 val jsonl_of : entry list -> string
-(** Render any entry list (e.g. a fleet shard's capture) as JSONL, one
+(** Render any entry list (a ring's {!ring_entries}, a fleet shard's
+    capture) as JSONL, one
     [{"seq":N,"ts":N,"scope":S,"name":S,"args":{...}}] object per line. *)
-
-val to_jsonl : unit -> string
-(** {!jsonl_of} applied to the calling domain's {!entries}. *)
 
 val chrome_event : ?pid:int -> ?tid:int -> entry -> Json.t
 (** One Chrome [trace_event] instant-event object. [pid]/[tid] default to
     1; the fleet's merged export gives each shard its own [pid] row. *)
 
-val to_chrome : ?attribution:(string * int) list -> ?total_cycles:int -> unit -> Json.t
-(** Chrome [trace_event] format: an object with a [traceEvents] array of
-    instant events (timestamps in ledger cycles) and an [otherData]
-    section carrying the per-scope cycle attribution and the ledger
-    total, so viewers and tests can check that attribution sums to the
-    total. Single-recording export ([pid] 1 throughout); for the
-    multi-shard variant see [Fidelius_fleet.Merge.chrome_of_shards]. *)
+val chrome_of_ring :
+  ?attribution:(string * int) list -> ?total_cycles:int -> ring -> Json.t
+(** Chrome [trace_event] format for one ring: an object with a
+    [traceEvents] array of instant events (timestamps in ledger cycles)
+    and an [otherData] section carrying the ring's [emitted]/[dropped]
+    counters, the ledger total and the per-scope cycle attribution, so
+    viewers and tests can check that attribution sums to the total.
+    Single-recording export ([pid] 1 throughout); for the multi-shard
+    variant see [Fidelius_fleet.Merge.chrome_of_shards]. *)

@@ -113,6 +113,7 @@ type stream_state = {
   mutable csv_spill : (int * out_channel) option;
   mutable trc_spill : (int * out_channel) option;
   gc0 : Gc.stat;
+  words0 : float * float * float;  (* Gc.counters at init, this domain only *)
   mutable njobs_run : int;
 }
 
@@ -186,19 +187,29 @@ let run_stream ?domains ?(vms = 16) ~csv:csv_out ~trace:trace_out () =
       Pool.map_with ?domains ~njobs:vms
         ~init:(fun _w ->
           let a = arena () in
-          { a; csv_spill = None; trc_spill = None; gc0 = Gc.quick_stat (); njobs_run = 0 })
+          { a;
+            csv_spill = None;
+            trc_spill = None;
+            gc0 = Gc.quick_stat ();
+            words0 = Gc.counters ();
+            njobs_run = 0 })
         ~finish:(fun w st ->
           (match st.csv_spill with Some (_, oc) -> close_out oc | None -> ());
           (match st.trc_spill with Some (_, oc) -> close_out oc | None -> ());
+          (* Word counts from Gc.counters (this domain's own); collection
+             counts from quick_stat, since OCaml 5 collections are
+             process-wide events anyway. *)
+          let minor1, promoted1, major1 = Gc.counters () in
+          let minor0, promoted0, major0 = st.words0 in
           let g1 = Gc.quick_stat () in
           let g0 = st.gc0 in
           gc_slots.(w) <-
             Some
               { worker = w;
                 jobs = st.njobs_run;
-                minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-                promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-                major_words = g1.Gc.major_words -. g0.Gc.major_words;
+                minor_words = minor1 -. minor0;
+                promoted_words = promoted1 -. promoted0;
+                major_words = major1 -. major0;
                 minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
                 major_collections = g1.Gc.major_collections - g0.Gc.major_collections })
         (fun st vm ->

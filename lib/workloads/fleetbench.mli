@@ -80,13 +80,16 @@ type gc_stats = {
   major_collections : int;  (** major cycles completed *)
 }
 (** One worker domain's GC/allocation delta across its whole job run,
-    measured with [Gc.quick_stat] from [Pool.map_with]'s [init] to its
-    [finish] — both on the worker domain, so [minor_words] and
-    [minor_collections] are that domain's own counters. [major_words]
-    and [major_collections] read the shared major heap and therefore
-    include neighbours' contributions when several workers run; per-VM
-    division stays meaningful on the d1 diagnosis run, which is what
-    [bench fleet --gc-stats] prints. *)
+    measured from [Pool.map_with]'s [init] to its [finish], both on the
+    worker domain. The three word counts come from [Gc.counters], which
+    on OCaml 5 reads the calling domain's own allocation, so they sum
+    across workers to the process total. [Gc.quick_stat] is not used for
+    them because it sums every domain's words, which would credit each
+    worker with its neighbours' allocation. The two collection counts do
+    come from [Gc.quick_stat]: an OCaml 5 minor GC is a stop-the-world
+    rendezvous of all running domains and a major cycle spans the shared
+    heap, so a collection is a process-wide event that every concurrent
+    worker sees and pays for. *)
 
 type summary = {
   vm_rows : vm_row list;  (** one per VM, canonical order — same rows {!run} returns *)

@@ -211,17 +211,15 @@ let test_shard_trace_isolation () =
   (* A recording on the caller's domain must be invisible to pool jobs
      (they start from pristine DLS state), and their captures must not
      perturb it. *)
-  Trace.enable ();
-  Trace.emit (Trace.Mark "outer");
+  let outer = Trace.ring () in
   let inside =
-    Pool.map ~domains:2 ~njobs:4 (fun j ->
-        let enabled_at_entry = Trace.enabled () in
-        let (), entries = Trace.capture (fun () -> Trace.emit (Trace.Mark "inner")) in
-        (enabled_at_entry, List.length entries, j))
+    Trace.record_into outer (fun () ->
+        Trace.emit (Trace.Mark "outer");
+        Pool.map ~domains:2 ~njobs:4 (fun j ->
+            let enabled_at_entry = Trace.enabled () in
+            let (), entries = Trace.capture (fun () -> Trace.emit (Trace.Mark "inner")) in
+            (enabled_at_entry, List.length entries, j)))
   in
-  let outer = Trace.entries () in
-  Trace.disable ();
-  Trace.clear ();
   List.iter
     (fun (enabled_at_entry, n, j) ->
       Alcotest.(check bool)
@@ -229,7 +227,7 @@ let test_shard_trace_isolation () =
         false enabled_at_entry;
       Alcotest.(check int) (Printf.sprintf "job %d captured its own event" j) 1 n)
     inside;
-  Alcotest.(check int) "outer recording untouched by shards" 1 (List.length outer)
+  Alcotest.(check int) "outer recording untouched by shards" 1 (Trace.ring_length outer)
 
 (* --- merge helpers -------------------------------------------------------- *)
 
@@ -406,8 +404,9 @@ let test_stream_matches_run =
           && read trc_f = Json.to_string (W.Fleetbench.chrome t) ^ "\n"))
 
 let test_fleetbench_domain_count_invariance () =
-  let a = W.Fleetbench.run ~domains:1 ~vms:3 () in
-  let b = W.Fleetbench.run ~domains:3 ~vms:3 () in
+  (* 4 VMs on 3 domains chunks unevenly (2/1/1). *)
+  let a = W.Fleetbench.run ~domains:1 ~vms:4 () in
+  let b = W.Fleetbench.run ~domains:3 ~vms:4 () in
   Alcotest.(check string) "per-VM CSV byte-identical across domain counts"
     (W.Fleetbench.csv a) (W.Fleetbench.csv b);
   Alcotest.(check string) "merged Chrome trace byte-identical across domain counts"
@@ -419,6 +418,77 @@ let test_fleetbench_domain_count_invariance () =
         (Printf.sprintf "vm %d recorded trace events" r.W.Fleetbench.vm)
         true (r.W.Fleetbench.events > 0))
     a.W.Fleetbench.rows
+
+(* --- scale: bounded memory, no scaling inversion, per-worker GC --------- *)
+
+(* [f csv trace] with two fresh temp artifact paths, removed afterwards. *)
+let with_artifacts f =
+  let csv = Filename.temp_file "fleet" ".csv" and trace = Filename.temp_file "fleet" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove csv; Sys.remove trace) (fun () -> f csv trace)
+
+(* Bounded-memory guard for the 1,000-VM story: a streamed 100-VM run must
+   not grow the live heap with per-VM state (rows are ~a dozen words each;
+   trace events must all have been spilled and collected, arenas freed
+   with their worker domains). The 2M-word (~16 MiB) ceiling is far above
+   the rows yet far below what one retained trace shard population (100
+   rings' worth of entries) would cost. *)
+let test_stream_heap_bounded () =
+  with_artifacts (fun csv trace ->
+      let live_words () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      ignore (W.Fleetbench.run_stream ~domains:2 ~vms:8 ~csv ~trace ());
+      let before = live_words () in
+      ignore (W.Fleetbench.run_stream ~domains:4 ~vms:100 ~csv ~trace ());
+      let growth = live_words () - before in
+      if growth > 2_000_000 then
+        Alcotest.failf
+          "streamed 100-VM run grew the live heap by %d words (> 2M): per-VM state is \
+           being retained"
+          growth)
+
+(* Asking for more domains must not make the run slower (the scaling
+   inversion the worker-domain cap in Pool fixed). Generous slack (d2 may
+   be up to 1/0.7 = 1.43x slower) because a shared host is noisy; the real
+   curve is recorded by `bench fleet`. *)
+let test_no_scaling_inversion () =
+  ignore (W.Fleetbench.run ~domains:2 ~vms:2 ());
+  let timed d =
+    Gc.compact ();
+    let t0 = Unix.gettimeofday () in
+    ignore (W.Fleetbench.run ~domains:d ~vms:8 ());
+    Unix.gettimeofday () -. t0
+  in
+  let t1 = timed 1 in
+  let t2 = timed 2 in
+  let rate1 = 8.0 /. t1 and rate2 = 8.0 /. t2 in
+  if rate2 < 0.7 *. rate1 then
+    Alcotest.failf
+      "scaling inversion: domains=2 ran at %.1f VMs/s vs %.1f VMs/s for domains=1 (below \
+       the 0.7x slack)"
+      rate2 rate1
+
+(* Each worker's gc_stats must count that worker's own allocation only:
+   summed over workers, minor_words cannot exceed what the whole process
+   allocated during the call (10% slack for the caller's own spill merge
+   is generous — the merge allocates almost nothing). *)
+let test_gc_stats_per_worker () =
+  with_artifacts (fun csv trace ->
+      let g0 = Gc.quick_stat () in
+      let s = W.Fleetbench.run_stream ~domains:2 ~vms:4 ~csv ~trace () in
+      let g1 = Gc.quick_stat () in
+      let process = g1.Gc.minor_words -. g0.Gc.minor_words in
+      let workers =
+        List.fold_left
+          (fun a (g : W.Fleetbench.gc_stats) -> a +. g.W.Fleetbench.minor_words)
+          0.0 s.W.Fleetbench.gc
+      in
+      if workers > 1.1 *. process then
+        Alcotest.failf
+          "per-worker minor_words sum %.0f is %.2fx the process-wide delta %.0f (> 1.1x): \
+           workers are reading process-wide counters"
+          workers (workers /. process) process)
 
 let reduced_attacks () =
   match Fidelius_attacks.Suite.all with
@@ -471,4 +541,8 @@ let () =
             test_fleetbench_domain_count_invariance;
           QCheck_alcotest.to_alcotest test_stream_matches_run;
           Alcotest.test_case "fault matrix verdicts" `Quick
-            test_matrix_domain_count_invariance ] ) ]
+            test_matrix_domain_count_invariance ] );
+      ( "scale",
+        [ Alcotest.test_case "streamed heap stays bounded" `Quick test_stream_heap_bounded;
+          Alcotest.test_case "no scaling inversion" `Quick test_no_scaling_inversion;
+          Alcotest.test_case "per-worker gc counters" `Quick test_gc_stats_per_worker ] ) ]

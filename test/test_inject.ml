@@ -102,14 +102,7 @@ let test_make_validates () =
    run with no plan installed. *)
 let observable_run ~machine_seed ~with_plan =
   let m, hv, fid = installed ~seed:machine_seed () in
-  Trace.set_clock (fun () -> Hw.Cost.total m.Hw.Machine.ledger);
-  Trace.enable ();
-  let finishing () =
-    let t = Trace.to_jsonl () in
-    Trace.disable ();
-    Trace.clear ();
-    t
-  in
+  let ring = Trace.ring () in
   let plan =
     Plan.make ~seed:5L
       (List.map (fun s -> { Plan.site = s; probability = 0.; max_fires = max_int }) Site.all)
@@ -118,12 +111,16 @@ let observable_run ~machine_seed ~with_plan =
   Fun.protect
     ~finally:(fun () -> if with_plan then Plan.uninstall ())
     (fun () ->
-      let dom = protected_vm fid "prob0" in
-      Hv.in_guest hv dom (fun () ->
-          Domain.write m dom ~addr:0x5000 (Bytes.of_string "observable payload"));
-      let b = Hv.in_guest hv dom (fun () -> Domain.read m dom ~addr:0x5000 ~len:18) in
-      Alcotest.(check string) "workload readback" "observable payload" (Bytes.to_string b);
-      let trace = finishing () in
+      Trace.record_into ring
+        ~clock:(fun () -> Hw.Cost.total m.Hw.Machine.ledger)
+        (fun () ->
+          let dom = protected_vm fid "prob0" in
+          Hv.in_guest hv dom (fun () ->
+              Domain.write m dom ~addr:0x5000 (Bytes.of_string "observable payload"));
+          let b = Hv.in_guest hv dom (fun () -> Domain.read m dom ~addr:0x5000 ~len:18) in
+          Alcotest.(check string) "workload readback" "observable payload"
+            (Bytes.to_string b));
+      let trace = Trace.jsonl_of (Trace.ring_entries ring) in
       (Hw.Cost.total m.Hw.Machine.ledger, Hw.Cost.categories m.Hw.Machine.ledger, trace))
 
 let test_probability_zero_is_inert =

@@ -256,6 +256,21 @@ let test_fleet_keys_delivered () =
   Alcotest.(check bool) "every migration delivered its disk key" true
     (Migratebench.all_keys_delivered t)
 
+(* At the Migratebench level, with its own mutator: some VM takes real
+   pre-copy rounds, and a tight downtime budget sends more pages than a
+   loose one. *)
+let test_fleet_budget_tradeoff () =
+  let tight = Migratebench.run ~domains:1 ~vms:4 ~budget_us:2.5 () in
+  let loose = Migratebench.run ~domains:1 ~vms:4 ~budget_us:40.0 () in
+  Alcotest.(check bool) "some migration took more than two pre-copy rounds" true
+    (List.exists (fun r -> r.Migratebench.rounds > 2) tight.Migratebench.rows);
+  let pt = Migratebench.total_pages tight and pl = Migratebench.total_pages loose in
+  Alcotest.(check bool)
+    (Printf.sprintf "pages @2.5us (%d) > pages @40us (%d)" pt pl)
+    true (pt > pl);
+  Alcotest.(check bool) "every migration delivered its disk key" true
+    (Migratebench.all_keys_delivered tight && Migratebench.all_keys_delivered loose)
+
 let () =
   Alcotest.run "migrate"
     [ ( "live",
@@ -283,6 +298,8 @@ let () =
       ( "fleet",
         [ Alcotest.test_case "deterministic at any domain count" `Quick
             test_fleet_determinism;
-          Alcotest.test_case "all keys delivered" `Quick test_fleet_keys_delivered
+          Alcotest.test_case "all keys delivered" `Quick test_fleet_keys_delivered;
+          Alcotest.test_case "bench pre-copy rounds and budget trade-off" `Quick
+            test_fleet_budget_tradeoff
         ] )
     ]
