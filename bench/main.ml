@@ -21,6 +21,7 @@ module W = Fidelius_workloads
 module Attacks = Fidelius_attacks
 module Xsa = Fidelius_xsa
 module Rng = Fidelius_crypto.Rng
+module Json = Fidelius_obs.Json
 
 let results_dir = "results"
 
@@ -321,52 +322,35 @@ let ablate () =
 
 (* ---- Bechamel wall-clock measurements ---------------------------------------------- *)
 
+(* results/bench.json is one JSON object mapping each benchmark key to its
+   measurement. *)
+let bench_json_path = Filename.concat results_dir "bench.json"
+
 let write_bench_json results =
   (try Unix.mkdir results_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let path = Filename.concat results_dir "bench.json" in
-  let oc = open_out path in
-  output_string oc "{\n";
-  let n = List.length results in
-  List.iteri
-    (fun i (name, ns) ->
-      Printf.fprintf oc "  %S: %.1f%s\n" name ns (if i = n - 1 then "" else ","))
-    results;
-  output_string oc "}\n";
-  close_out oc;
-  Printf.printf "  [written: %s]\n" path
+  let obj = Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) results) in
+  Out_channel.with_open_bin bench_json_path (fun oc ->
+      output_string oc (Json.to_string obj);
+      output_char oc '\n');
+  Printf.printf "  [written: %s]\n" bench_json_path
 
-(* bench.json is written by two sections (bechamel and fleet); each must
-   merge into the existing file, not clobber the other's keys. The file
-   is our own line-per-entry format, so the "parser" is a line scan. *)
+(* bench.json is written by several sections (bechamel, fleet, serve,
+   migrate); each must merge into the existing file, not clobber the
+   others' keys. *)
 let read_bench_json () =
-  let path = Filename.concat results_dir "bench.json" in
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let rec loop acc =
-      match input_line ic with
-      | exception End_of_file -> List.rev acc
-      | line -> (
-          match String.index_opt line '"' with
-          | None -> loop acc
-          | Some i -> (
-              match String.index_from_opt line (i + 1) '"' with
-              | None -> loop acc
-              | Some j -> (
-                  let name = String.sub line (i + 1) (j - i - 1) in
-                  let rest = String.sub line (j + 1) (String.length line - j - 1) in
-                  let num =
-                    String.trim rest |> String.split_on_char ':' |> List.rev |> List.hd
-                    |> String.split_on_char ',' |> List.hd |> String.trim
-                  in
-                  match float_of_string_opt num with
-                  | Some v -> loop ((name, v) :: acc)
-                  | None -> loop acc)))
-    in
-    let entries = loop [] in
-    close_in ic;
-    entries
-  end
+  if not (Sys.file_exists bench_json_path) then []
+  else
+    match Json.parse (In_channel.with_open_bin bench_json_path In_channel.input_all) with
+    | Json.Obj fields ->
+        List.filter_map
+          (fun (k, v) ->
+            match v with
+            | Json.Int n -> Some (k, float_of_int n)
+            | Json.Float f -> Some (k, f)
+            | _ -> None)
+          fields
+    | _ -> failwith (bench_json_path ^ ": expected a JSON object")
+    | exception Json.Parse_error e -> failwith (bench_json_path ^ ": " ^ e)
 
 let update_bench_json kvs =
   let keep (k, _) = not (List.mem_assoc k kvs) in
@@ -756,7 +740,7 @@ let perf_gate () =
        untracked): nothing to gate against, so SKIP loudly rather than fail.
        A baseline that exists but lacks a pinned key is different — that is a
        key silently falling out of the perf trajectory, and it fails. *)
-    if not (Sys.file_exists (Filename.concat results_dir "bench.json")) then begin
+    if not (Sys.file_exists bench_json_path) then begin
       Printf.printf
         "perf-gate: SKIP — no results/bench.json baseline on this checkout; \
          run `make perf` on a quiet host to record one.\n";

@@ -234,9 +234,12 @@ let bench_cmd =
 let sum_counts counts = List.fold_left (fun acc (_, v) -> acc + v) 0 counts
 
 (* Self-check the exported artifact: reparse it with the library's own
-   parser and re-verify the attribution invariant from the parsed bytes,
-   so a formatting or attribution bug fails the command (and the
-   trace-smoke alias) rather than producing a silently broken file. *)
+   parser and re-verify from the parsed bytes that attribution sums to
+   the ledger total and that every event's category is "platform" or an
+   attributed scope (the trace's scope tags come from the ledger's own
+   scope stack), so a formatting or attribution bug fails the command
+   (and the trace-smoke alias) rather than producing a silently broken
+   file. *)
 let validate_chrome content ~total =
   match Obs.Json.parse content with
   | exception Obs.Json.Parse_error e -> Error ("output is not valid JSON: " ^ e)
@@ -248,17 +251,28 @@ let validate_chrome content ~total =
             Option.bind other (fun o -> Obs.Json.member "attribution" o)
           in
           match att with
-          | Some (Obs.Json.Obj fields) ->
+          | Some (Obs.Json.Obj fields) -> (
               let s =
                 List.fold_left
                   (fun acc (_, v) ->
                     match v with Obs.Json.Int n -> acc + n | _ -> acc)
                   0 fields
               in
+              let known_cat ev =
+                match Obs.Json.member "cat" ev with
+                | Some (Obs.Json.Str c) -> c = "platform" || List.mem_assoc c fields
+                | _ -> false
+              in
               if s <> total then
                 Error
                   (Printf.sprintf "attribution sums to %d, ledger total is %d" s total)
-              else Ok (List.length events)
+              else
+                match List.find_opt (fun ev -> not (known_cat ev)) events with
+                | Some ev ->
+                    Error
+                      ("event category is neither \"platform\" nor an attributed scope: "
+                     ^ Obs.Json.to_string ev)
+                | None -> Ok (List.length events))
           | _ -> Error "otherData.attribution missing")
       | _ -> Error "traceEvents missing or empty")
 

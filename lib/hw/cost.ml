@@ -116,49 +116,35 @@ let nr_ids () = Mutex.protect registry_lock (fun () -> Hashtbl.length registry)
 
 (* ---- ledger ----------------------------------------------------------
 
-   Accumulators are flat arrays indexed by category id. [touched] keeps
-   the exact reporting semantics of the old string-keyed tables: a charge
-   of 0 cycles still makes the category (or the scope's category row)
-   visible in listings. Scope frames are persistent per label — resolved
-   once per [with_scope] entry, then the innermost frame is a cached
-   pointer the hot [charge_id] adds through — and the stack itself is a
-   preallocated array so entering a scope does not allocate. *)
-
-type frame = {
-  fr_label : string;
-  mutable fr_total : int;
-  mutable fr_counts : int array;
-  mutable fr_touched : Bytes.t;
-}
+   Flat arrays indexed by interned id, for categories and scopes alike.
+   [touched]/[entered] mark ids charged/entered, so 0-cycle rows still
+   list. [scope_enter] sizes [scoped] for the id it pushes, so the hot
+   [charge_id] books the innermost scope with one array add. *)
 
 type ledger = {
   mutable cycles : int;
   mutable counts : int array;
   mutable touched : Bytes.t;
-  mutable frames : (string, frame) Hashtbl.t;
-  mutable stack : frame array;
+  mutable scoped : int array;
+  mutable entered : Bytes.t;
+  mutable stack : id array;
   mutable depth : int;
-  mutable top : frame;  (* valid iff depth > 0 *)
+  mutable top : id;  (* valid iff depth > 0 *)
 }
 
 let root_scope = "(root)"
-
-let new_frame label n =
-  { fr_label = label;
-    fr_total = 0;
-    fr_counts = Array.make n 0;
-    fr_touched = Bytes.make n '\000' }
+let root_id = intern root_scope
 
 let ledger () =
   let n = max 16 (nr_ids ()) in
-  let dummy = new_frame "" 0 in
   { cycles = 0;
     counts = Array.make n 0;
     touched = Bytes.make n '\000';
-    frames = Hashtbl.create 8;
-    stack = Array.make 8 dummy;
+    scoped = Array.make n 0;
+    entered = Bytes.make n '\000';
+    stack = Array.make 8 root_id;
     depth = 0;
-    top = dummy }
+    top = root_id }
 
 let grow_counts counts id =
   let a = Array.make (max 16 (2 * (id + 1))) 0 in
@@ -182,63 +168,33 @@ let charge_id l id n =
   l.cycles <- l.cycles + n;
   Array.unsafe_set l.counts id (Array.unsafe_get l.counts id + n);
   Bytes.unsafe_set l.touched id '\001';
-  if l.depth > 0 then begin
-    let fr = l.top in
-    fr.fr_total <- fr.fr_total + n;
-    if id >= Array.length fr.fr_counts then begin
-      fr.fr_counts <- grow_counts fr.fr_counts id;
-      fr.fr_touched <- grow_touched fr.fr_touched id
-    end;
-    Array.unsafe_set fr.fr_counts id (Array.unsafe_get fr.fr_counts id + n);
-    Bytes.unsafe_set fr.fr_touched id '\001'
-  end
+  if l.depth > 0 then Array.unsafe_set l.scoped l.top (Array.unsafe_get l.scoped l.top + n)
 
-let frame_of l scope =
-  match Hashtbl.find l.frames scope with
-  | fr -> fr
-  | exception Not_found ->
-      let fr = new_frame scope (Array.length l.counts) in
-      Hashtbl.add l.frames scope fr;
-      fr
-
-let pop_scope l =
-  (if l.depth > 0 then begin
-     l.depth <- l.depth - 1;
-     if l.depth > 0 then l.top <- Array.unsafe_get l.stack (l.depth - 1)
-   end);
-  if Trace.enabled () then Trace.pop_scope ()
-
-(* Closure-free entry/exit pair for call sites on the world-switch fast
-   path: [with_scope l s (fun () -> body)] allocates the closure per call,
-   while [scope_enter l s; body; scope_exit l] allocates nothing once the
-   scope's frame exists. Callers owe the same exception discipline
-   [with_scope] provides. *)
-let scope_enter l scope =
-  if String.equal scope root_scope then
-    invalid_arg "Cost.with_scope: (root) is reserved";
-  let fr = frame_of l scope in
+(* The only scope stack: each push and pop sets the trace's scope tag to
+   the new innermost label ("" at depth 0). *)
+let scope_enter l id =
+  if id = root_id then invalid_arg "Cost.scope_enter: (root) is reserved";
+  if id >= Array.length l.scoped then begin
+    l.scoped <- grow_counts l.scoped id;
+    l.entered <- grow_touched l.entered id
+  end;
+  Bytes.unsafe_set l.entered id '\001';
   if l.depth >= Array.length l.stack then begin
-    let a = Array.make (2 * Array.length l.stack) fr in
-    Array.blit l.stack 0 a 0 (Array.length l.stack);
+    let a = Array.make (2 * Array.length l.stack) root_id in
+    Array.blit l.stack 0 a 0 l.depth;
     l.stack <- a
   end;
-  Array.unsafe_set l.stack l.depth fr;
+  Array.unsafe_set l.stack l.depth id;
   l.depth <- l.depth + 1;
-  l.top <- fr;
-  if Trace.enabled () then Trace.push_scope scope
+  l.top <- id;
+  Trace.set_scope (id_label id)
 
-let scope_exit = pop_scope
-
-let with_scope l scope f =
-  scope_enter l scope;
-  match f () with
-  | v ->
-      pop_scope l;
-      v
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      pop_scope l;
-      Printexc.raise_with_backtrace e bt
+let scope_exit l =
+  if l.depth > 0 then begin
+    l.depth <- l.depth - 1;
+    if l.depth > 0 then l.top <- Array.unsafe_get l.stack (l.depth - 1);
+    Trace.set_scope (if l.depth > 0 then id_label l.top else "")
+  end
 
 let total l = l.cycles
 
@@ -255,63 +211,21 @@ let sort_counts counts =
     counts
 
 (* Rebuild a (label, cycles) listing from a flat accumulator, visiting
-   only the touched ids — exactly the rows the old string-keyed table
-   held. Report-time only. *)
-let rows counts touched =
+   only the marked ids. Report-time only. *)
+let rows counts marks =
   let acc = ref [] in
   for id = Array.length counts - 1 downto 0 do
-    if id < Bytes.length touched && Bytes.get touched id = '\001' then
+    if Bytes.get marks id = '\001' then
       acc := (id_label id, counts.(id)) :: !acc
   done;
   !acc
 
 let categories l = sort_counts (rows l.counts l.touched)
 
-let scoped_sum l = Hashtbl.fold (fun _ fr acc -> acc + fr.fr_total) l.frames 0
-
 let scopes l =
-  let named = Hashtbl.fold (fun k fr acc -> (k, fr.fr_total) :: acc) l.frames [] in
-  let rest = l.cycles - scoped_sum l in
-  let all = if rest > 0 || named = [] then (root_scope, rest) :: named else named in
-  sort_counts all
-
-let scope_total l scope =
-  if scope = root_scope then l.cycles - scoped_sum l
-  else match Hashtbl.find_opt l.frames scope with Some fr -> fr.fr_total | None -> 0
-
-let scope_categories l scope =
-  if scope = root_scope then begin
-    (* Whatever of each category is not accounted to a named scope. *)
-    let residue = Array.copy l.counts in
-    Hashtbl.iter
-      (fun _ fr ->
-        Array.iteri
-          (fun id v -> if id < Array.length residue then residue.(id) <- residue.(id) - v)
-          fr.fr_counts)
-      l.frames;
-    let acc = ref [] in
-    for id = Array.length residue - 1 downto 0 do
-      if
-        id < Bytes.length l.touched
-        && Bytes.get l.touched id = '\001'
-        && residue.(id) > 0
-      then acc := (id_label id, residue.(id)) :: !acc
-    done;
-    sort_counts !acc
-  end
-  else
-    match Hashtbl.find_opt l.frames scope with
-    | None -> []
-    | Some fr -> sort_counts (rows fr.fr_counts fr.fr_touched)
-
-let reset l =
-  l.cycles <- 0;
-  Array.fill l.counts 0 (Array.length l.counts) 0;
-  Bytes.fill l.touched 0 (Bytes.length l.touched) '\000';
-  (* Frames still referenced by an active [with_scope] keep accumulating
-     into orphaned storage, exactly as the old string-keyed tables did
-     after a mid-scope reset. *)
-  l.frames <- Hashtbl.create 8
+  let named = rows l.scoped l.entered in
+  let rest = l.cycles - List.fold_left (fun acc (_, v) -> acc + v) 0 named in
+  sort_counts (if rest > 0 || named = [] then (root_scope, rest) :: named else named)
 
 let pp fmt l =
   Format.fprintf fmt "@[<v>total: %d cycles" l.cycles;

@@ -54,10 +54,11 @@ type ledger
 val ledger : unit -> ledger
 
 type id
-(** Dense interned handle for a category label. Charge sites resolve their
-    label once ([let c_tlb_hit = Cost.intern "tlb-hit"] at module init) so
-    the per-access {!charge_id} is an array add plus one cached scope-slot
-    add — no string hashing on the hot path. *)
+(** Dense interned handle for a category or cost-scope label. Charge
+    sites resolve their label once ([let c_tlb_hit = Cost.intern
+    "tlb-hit"] at module init), and a domain interns its scope label once
+    at creation, so the per-access {!charge_id} is an array add plus one
+    innermost-scope add — no string hashing on the hot path. *)
 
 val intern : string -> id
 (** Resolve a label to its id, registering it on first use. Idempotent;
@@ -75,25 +76,19 @@ val charge_id : ledger -> id -> int -> unit
 
 val root_scope : string
 (** ["(root)"] — the implicit scope owning every cycle charged outside any
-    [with_scope]. Reserved: passing it to {!with_scope} raises. *)
+    entered scope. Reserved: {!scope_enter} on its id raises
+    [Invalid_argument]. *)
 
-val with_scope : ledger -> string -> (unit -> 'a) -> 'a
-(** [with_scope l "dom3" f] runs [f] with ["dom3"] as the innermost
-    attribution scope: every charge inside is booked both globally and to
-    that scope (and mirrored to the event trace's scope tag). Scopes nest;
-    a charge is attributed to the innermost only, so
-    [sum (scopes l) = total l] holds at all times. The scope is popped on
-    exceptions too. *)
-
-val scope_enter : ledger -> string -> unit
-(** Push a scope without the closure {!with_scope} costs per call. The
-    caller must guarantee a matching {!scope_exit} on every path out,
-    including exceptions — use {!with_scope} unless the call site is on an
-    allocation-free fast path. *)
+val scope_enter : ledger -> id -> unit
+(** [scope_enter l (intern "dom3")] makes ["dom3"] the innermost
+    attribution scope, and the calling domain's trace scope tag, until
+    the matching {!scope_exit}, which the caller owes on every path out.
+    Scopes nest; a charge is booked to the innermost only, so
+    [sum (scopes l) = total l] always holds. Allocation-free. *)
 
 val scope_exit : ledger -> unit
-(** Pop the innermost scope pushed by {!scope_enter} (no-op at depth 0,
-    matching [with_scope]'s pop). *)
+(** Pop the innermost scope; the trace scope tag becomes the new
+    innermost label, or [""] at depth 0. A no-op at depth 0. *)
 
 val total : ledger -> int
 
@@ -105,17 +100,9 @@ val categories : ledger -> (string * int) list
     listing is deterministic. *)
 
 val scopes : ledger -> (string * int) list
-(** Per-scope cycle attribution, including the {!root_scope} remainder;
-    entries sum exactly to {!total}. Sorted like {!categories}. *)
-
-val scope_total : ledger -> string -> int
-(** 0 for scopes never charged; for {!root_scope}, the unattributed
-    remainder. *)
-
-val scope_categories : ledger -> string -> (string * int) list
-(** Category breakdown within one scope (for {!root_scope}: the residue of
-    each category not booked to any named scope). *)
-
-val reset : ledger -> unit
+(** Per-scope cycle attribution: every scope ever entered (0-cycle ones
+    included) plus the {!root_scope} remainder when it is non-zero or no
+    scope was entered; entries sum exactly to {!total}. Sorted like
+    {!categories}. *)
 
 val pp : Format.formatter -> ledger -> unit

@@ -30,7 +30,6 @@ type state = {
   mutable next : int;  (* slot the next entry lands in *)
   mutable total : int;  (* entries emitted since the last reset *)
   mutable clock : unit -> int;
-  mutable scopes : string list;
 }
 
 let dummy = { seq = -1; ts = 0; scope = ""; event = Mark "" }
@@ -41,14 +40,17 @@ let fresh_state ?(capacity = default_capacity) () =
     capacity;
     next = 0;
     total = 0;
-    clock = (fun () -> 0);
-    scopes = [] }
+    clock = (fun () -> 0) }
 
 (* One recording per domain: every fleet shard (and the main domain) owns
-   its own ring, clock and scope stack, so concurrent shards can record
-   without a lock and without perturbing each other. The default state is
-   never enabled; recording happens only inside [record_into]. *)
+   its own ring and clock, so concurrent shards can record without a lock
+   and without perturbing each other. The default state is never enabled;
+   recording happens only inside [record_into]. *)
 let key = Domain.DLS.new_key (fun () -> fresh_state ())
+
+(* The scope tag, outside any ring: [Cost.scope_enter]/[scope_exit] keep
+   it at the ledger's innermost label whether or not a recording is on. *)
+let scope_key = Domain.DLS.new_key (fun () -> ref "")
 
 let st () = Domain.DLS.get key
 
@@ -56,19 +58,13 @@ let enabled () = (st ()).on
 
 let set_clock f = (st ()).clock <- f
 
-let push_scope s =
-  let st = st () in
-  st.scopes <- s :: st.scopes
-
-let pop_scope () =
-  let st = st () in
-  match st.scopes with [] -> () | _ :: rest -> st.scopes <- rest
+let set_scope s = Domain.DLS.get scope_key := s
 
 let emit event =
   let st = st () in
   if st.on then begin
     if Array.length st.buf = 0 then st.buf <- Array.make st.capacity dummy;
-    let scope = match st.scopes with [] -> "" | s :: _ -> s in
+    let scope = !(Domain.DLS.get scope_key) in
     st.buf.(st.next) <- { seq = st.total; ts = st.clock (); scope; event };
     st.next <- (st.next + 1) mod st.capacity;
     st.total <- st.total + 1
@@ -92,7 +88,6 @@ let ring_reset (r : ring) =
   r.on <- false;
   r.next <- 0;
   r.total <- 0;
-  r.scopes <- [];
   (* The clock is job state, not arena state: a stale neighbour's clock
      must never stamp the first events of the next job. *)
   r.clock <- (fun () -> 0)

@@ -16,7 +16,7 @@
 
     {2 Thread-safety: one recording per domain}
 
-    All recording state (ring, clock, scope stack, on/off flag) lives in
+    All recording state (ring, clock, scope tag, on/off flag) lives in
     [Domain.DLS]: each domain owns an independent recording, and every
     function in this interface reads or writes only the calling domain's
     state. Fleet shards ([Fidelius_fleet.Pool]) therefore trace
@@ -61,16 +61,16 @@ val set_clock : (unit -> int) -> unit
     [fun () -> Cost.total machine.ledger]. Timestamps are simulated
     cycles, never wall time — the determinism contract depends on it. *)
 
-val push_scope : string -> unit
-(** Scope tagging for emitted events; driven by [Cost.with_scope]. *)
-
-val pop_scope : unit -> unit
-(** Inverse of {!push_scope}; a no-op on an empty scope stack. *)
+val set_scope : string -> unit
+(** Set the calling domain's scope tag, which {!emit} stamps on each
+    entry. Only [Cost.scope_enter]/[scope_exit] call it, with the ledger's
+    innermost scope label ([""] at depth 0). The tag lives outside any
+    ring, so a recording started inside a scope tags its events with it. *)
 
 val emit : event -> unit
 (** Record one event in the calling domain's ring (a no-op when
     disabled). Timestamped with the installed clock, tagged with the
-    innermost scope. *)
+    current scope tag (see {!set_scope}). *)
 
 val capture : ?capacity:int -> ?clock:(unit -> int) -> (unit -> 'a) -> 'a * entry list
 (** [capture f] runs [f] under a fresh, enabled, domain-local recording
@@ -93,7 +93,7 @@ val capture : ?capacity:int -> ?clock:(unit -> int) -> (unit -> 'a) -> 'a * entr
     rendezvous across domains and flattens the fleet curve. A {!ring} is
     the reusable alternative: allocate it once per worker, then
     {!record_into} it for each job. The slot array survives across jobs;
-    only counters, scope stack and clock are reset. *)
+    only counters and clock are reset. *)
 
 type ring
 (** A reusable recording: the same state {!capture} builds internally,
@@ -111,7 +111,7 @@ val ring_capacity : ring -> int
 
 val record_into : ring -> ?clock:(unit -> int) -> (unit -> 'a) -> 'a
 (** [record_into r f] is {!capture} into a caller-owned ring: resets [r]
-    (counters, scope stack, clock — {e not} the slot array), enables it,
+    (counters and clock — {e not} the slot array), enables it,
     installs it as the calling domain's recording, runs [f], and restores
     the previous recording afterwards — even on exceptions, which
     propagate unchanged. Entries stay in [r] for the caller to read
@@ -148,10 +148,10 @@ val ring_dropped : ring -> int
     [max 0 (ring_emitted r - ring_capacity r)]. *)
 
 val ring_reset : ring -> unit
-(** Disable the ring and drop its recorded entries (counters, scope
-    stack and clock revert to the fresh state; the slot array is kept for
-    reuse). {!record_into} does this implicitly; explicit reset is for
-    releasing entry references early without dropping the arena. *)
+(** Disable the ring and drop its recorded entries (counters and clock
+    revert to the fresh state; the slot array is kept for reuse).
+    {!record_into} does this implicitly; explicit reset is for releasing
+    entry references early without dropping the arena. *)
 
 val event_name : event -> string
 (** Stable wire name of the event constructor (e.g. ["tlb-flush"]). *)

@@ -9,7 +9,7 @@ type lifecycle =
 type t = {
   domid : int;
   domid64 : int64;
-  scope : string;
+  scope : Hw.Cost.id;
   guest_mode : Hw.Cpu.mode;
   name : string;
   is_dom0 : bool;
@@ -39,7 +39,7 @@ let create machine ~domid ~name ~is_dom0 ~asid =
   Hw.Vmcb.set vmcb Hw.Vmcb.Asid (Int64.of_int asid);
   { domid;
     domid64 = Int64.of_int domid;
-    scope = "dom" ^ string_of_int domid;
+    scope = Hw.Cost.intern ("dom" ^ string_of_int domid);
     guest_mode = Hw.Cpu.Guest domid;
     name;
     is_dom0;

@@ -18,9 +18,10 @@ type t = {
   domid64 : int64;
       (** [Int64.of_int domid], boxed once — the VMRUN operand every
           world switch loads, without re-boxing per crossing *)
-  scope : string;
-      (** ["dom<id>"], the per-domain cost-attribution label, built once
-          so scope entry on the hypercall path does not concatenate *)
+  scope : Hw.Cost.id;
+      (** the per-domain cost scope, ["dom<id>"] interned once at
+          creation, so scope entry on the hypercall path neither
+          concatenates nor hashes *)
   guest_mode : Hw.Cpu.mode;
       (** [Guest domid], allocated once — VMRUN stores this exact value *)
   name : string;

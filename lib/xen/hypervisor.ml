@@ -6,10 +6,11 @@ module Site = Fidelius_inject.Site
 
 exception Npf_unresolved of string
 
-(* Per-domain cost attribution uses [Domain.scope] ("dom<id>", built once
-   at creation): every cycle charged while the hypervisor works on behalf
-   of a domain (guest execution, hypercall round trips, NPF handling) is
-   booked to that label. Charge sites are interned once. *)
+(* Per-domain cost attribution uses [Domain.scope] ("dom<id>", interned
+   once at creation): every cycle charged while the hypervisor works on
+   behalf of a domain (guest execution, hypercall round trips, NPF
+   handling) is booked to that scope through [scoped], the one place that
+   enters and leaves it. Charge sites are interned once. *)
 let c_world_switch = Hw.Cost.intern "world-switch"
 let c_hypercall = Hw.Cost.intern "hypercall"
 
@@ -530,12 +531,13 @@ let rec in_guest_unscoped t dom f =
     service_npf t dom ~gfn ~ctx:"NPF";
     in_guest_unscoped t dom f
 
-(* Scope entry/exit by hand (matching [Cost.with_scope]'s discipline,
-   including exceptions) so entering guest context allocates nothing. *)
-let in_guest t dom f =
+(* Run [body t dom x] inside [dom]'s cost scope, leaving the scope on
+   every path out, exceptions included. Callers pass a top-level [body]
+   and its argument separately, so entering the scope builds no closure. *)
+let scoped body t dom x =
   let ledger = t.machine.Hw.Machine.ledger in
   Hw.Cost.scope_enter ledger dom.Domain.scope;
-  match in_guest_unscoped t dom f with
+  match body t dom x with
   | v ->
       Hw.Cost.scope_exit ledger;
       v
@@ -543,6 +545,8 @@ let in_guest t dom f =
       let bt = Printexc.get_raw_backtrace () in
       Hw.Cost.scope_exit ledger;
       Printexc.raise_with_backtrace e bt
+
+let in_guest t dom f = scoped in_guest_unscoped t dom f
 
 (* --- hypercalls -------------------------------------------------------- *)
 
@@ -645,17 +649,7 @@ let hypercall_body t dom call =
   | Ok () -> result
   | Error e -> Error ("vmrun: " ^ e)
 
-let hypercall t dom call =
-  let ledger = t.machine.Hw.Machine.ledger in
-  Hw.Cost.scope_enter ledger dom.Domain.scope;
-  match hypercall_body t dom call with
-  | v ->
-      Hw.Cost.scope_exit ledger;
-      v
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Hw.Cost.scope_exit ledger;
-      Printexc.raise_with_backtrace e bt
+let hypercall t dom call = scoped hypercall_body t dom call
 
 (* --- instruction emulation --------------------------------------------- *)
 

@@ -15,35 +15,68 @@ module Json = Obs.Json
 
 (* --- Cost scope attribution -------------------------------------------- *)
 
+(* A scope's row in the attribution listing; 0 when it is not listed. *)
+let scope_cycles l name = Option.value ~default:0 (List.assoc_opt name (Cost.scopes l))
+
 let test_scope_basics () =
   let l = Cost.ledger () in
   Cost.charge_id l (Cost.intern "a") 10;
-  Cost.with_scope l "dom1" (fun () -> Cost.charge_id l (Cost.intern "a") 5);
+  Cost.scope_enter l (Cost.intern "dom1");
+  Cost.charge_id l (Cost.intern "a") 5;
+  Cost.scope_exit l;
   Alcotest.(check int) "total" 15 (Cost.total l);
-  Alcotest.(check int) "dom1" 5 (Cost.scope_total l "dom1");
-  Alcotest.(check int) "root remainder" 10 (Cost.scope_total l Cost.root_scope);
+  Alcotest.(check int) "dom1" 5 (scope_cycles l "dom1");
+  Alcotest.(check int) "root remainder" 10 (scope_cycles l Cost.root_scope);
   Alcotest.(check (list (pair string int))) "scopes listing"
     [ ("(root)", 10); ("dom1", 5) ]
     (Cost.scopes l)
 
 let test_scope_innermost_only () =
   let l = Cost.ledger () in
-  Cost.with_scope l "outer" (fun () ->
-      Cost.charge_id l (Cost.intern "a") 1;
-      Cost.with_scope l "inner" (fun () -> Cost.charge_id l (Cost.intern "a") 2);
-      Cost.charge_id l (Cost.intern "a") 4);
-  Alcotest.(check int) "outer books its own charges only" 5
-    (Cost.scope_total l "outer");
-  Alcotest.(check int) "inner" 2 (Cost.scope_total l "inner");
-  Alcotest.(check int) "no root residue" 0 (Cost.scope_total l Cost.root_scope)
+  Cost.scope_enter l (Cost.intern "outer");
+  Cost.charge_id l (Cost.intern "a") 1;
+  Cost.scope_enter l (Cost.intern "inner");
+  Cost.charge_id l (Cost.intern "a") 2;
+  Cost.scope_exit l;
+  Cost.charge_id l (Cost.intern "a") 4;
+  Cost.scope_exit l;
+  Alcotest.(check int) "outer books its own charges only" 5 (scope_cycles l "outer");
+  Alcotest.(check int) "inner" 2 (scope_cycles l "inner");
+  Alcotest.(check int) "no root residue" 0 (scope_cycles l Cost.root_scope)
 
+(* Every test records into its own ring and inspects it once [f] has
+   run; nothing is left installed on the domain afterwards. *)
+let with_trace ?capacity ?clock f =
+  let r = Trace.ring ?capacity () in
+  Trace.record_into r ?clock f;
+  r
+
+let scope_tags r = List.map (fun e -> e.Trace.scope) (Trace.ring_entries r)
+
+(* [Hypervisor.in_guest] is the one production path that can raise inside
+   a scope: the scope (and the trace's scope tag) must be left on the way
+   out, and the charges made before the raise stay booked to it. *)
 let test_scope_exception_safety () =
-  let l = Cost.ledger () in
-  (try Cost.with_scope l "doomed" (fun () -> Cost.charge_id l (Cost.intern "a") 3; failwith "boom")
-   with Failure _ -> ());
-  Cost.charge_id l (Cost.intern "a") 7;
-  Alcotest.(check int) "scope popped on raise" 7 (Cost.scope_total l Cost.root_scope);
-  Alcotest.(check int) "charges inside kept" 3 (Cost.scope_total l "doomed")
+  let machine = Hw.Machine.create ~seed:1L () in
+  let l = machine.Hw.Machine.ledger in
+  let hv = Xen.Hypervisor.boot machine in
+  let dom = Xen.Hypervisor.create_domain hv ~name:"doomed" ~memory_pages:4 in
+  let label = Cost.id_label dom.Xen.Domain.scope in
+  let dom_before = scope_cycles l label and root_before = scope_cycles l Cost.root_scope in
+  let r =
+    with_trace (fun () ->
+        (try
+           Xen.Hypervisor.in_guest hv dom (fun () ->
+               Cost.charge_id l (Cost.intern "a") 3;
+               Trace.emit (Trace.Mark "inside");
+               failwith "boom")
+         with Failure _ -> ());
+        Cost.charge_id l (Cost.intern "a") 7;
+        Trace.emit (Trace.Mark "after"))
+  in
+  Alcotest.(check int) "scope popped on raise" 7 (scope_cycles l Cost.root_scope - root_before);
+  Alcotest.(check int) "charges inside kept" 3 (scope_cycles l label - dom_before);
+  Alcotest.(check (list string)) "trace tag left with the scope" [ label; "" ] (scope_tags r)
 
 let test_negative_charge_rejected () =
   let l = Cost.ledger () in
@@ -54,10 +87,13 @@ let test_negative_charge_rejected () =
 
 let test_root_scope_reserved () =
   let l = Cost.ledger () in
-  Alcotest.(check bool) "with_scope rejects (root)" true
+  Alcotest.(check bool) "scope_enter rejects (root)" true
     (try
-       Cost.with_scope l Cost.root_scope (fun () -> false)
-     with Invalid_argument _ -> true)
+       Cost.scope_enter l (Cost.intern Cost.root_scope);
+       false
+     with Invalid_argument _ -> true);
+  Cost.charge_id l (Cost.intern "a") 1;
+  Alcotest.(check (list (pair string int))) "nothing entered" [ ("(root)", 1) ] (Cost.scopes l)
 
 let test_categories_tie_break () =
   let l = Cost.ledger () in
@@ -68,8 +104,8 @@ let test_categories_tie_break () =
     (Cost.categories l)
 
 (* Property: under arbitrary nesting and charging, per-scope attribution
-   sums exactly to the global total, and scope_categories agree with the
-   per-scope totals. *)
+   sums exactly to the global total, and every traced event carries the
+   innermost scope's label ("" outside any scope). *)
 type op = Charge of int | Scoped of int * op list
 
 let op_gen =
@@ -100,34 +136,32 @@ let arbitrary_ops =
 
 let scope_name i = Printf.sprintf "scope%d" i
 
-let rec interpret l = function
-  | Charge c -> Cost.charge_id l (Cost.intern "work") c
+(* Each [Charge] also emits a [Mark] naming the scope it expects the
+   trace to tag it with. *)
+let rec interpret l innermost = function
+  | Charge c ->
+      Cost.charge_id l (Cost.intern "work") c;
+      Trace.emit (Trace.Mark innermost)
   | Scoped (s, ops) ->
-      Cost.with_scope l (scope_name s) (fun () -> List.iter (interpret l) ops)
+      Cost.scope_enter l (Cost.intern (scope_name s));
+      List.iter (interpret l (scope_name s)) ops;
+      Cost.scope_exit l
 
 let prop_scope_sums_to_total =
+  let r = Trace.ring () in
   QCheck.Test.make ~count:300 ~name:"sum(scopes) = total under nesting"
     arbitrary_ops (fun ops ->
       let l = Cost.ledger () in
-      List.iter (interpret l) ops;
+      Trace.record_into r (fun () -> List.iter (interpret l "") ops);
       let scope_sum = List.fold_left (fun a (_, v) -> a + v) 0 (Cost.scopes l) in
-      let per_scope_cats_ok =
-        List.for_all
-          (fun (s, v) ->
-            v
-            = List.fold_left (fun a (_, c) -> a + c) 0 (Cost.scope_categories l s))
-          (Cost.scopes l)
-      in
-      scope_sum = Cost.total l && per_scope_cats_ok)
+      let tags_ok = ref true in
+      Trace.ring_iter r (fun e ->
+          match e.Trace.event with
+          | Trace.Mark expected -> if e.Trace.scope <> expected then tags_ok := false
+          | _ -> tags_ok := false);
+      scope_sum = Cost.total l && !tags_ok)
 
 (* --- trace ring buffer -------------------------------------------------- *)
-
-(* Every test records into its own ring and inspects it once [f] has
-   run; nothing is left installed on the domain afterwards. *)
-let with_trace ?capacity ?clock f =
-  let r = Trace.ring ?capacity () in
-  Trace.record_into r ?clock f;
-  r
 
 let test_ring_wrap () =
   let r =
@@ -156,17 +190,45 @@ let test_clock_and_scope_tagging () =
     with_trace ~clock:(fun () -> Cost.total l) (fun () ->
         Cost.charge_id l (Cost.intern "setup") 100;
         Trace.emit (Trace.Mark "before");
-        Cost.with_scope l "dom7" (fun () ->
-            Cost.charge_id l (Cost.intern "work") 23;
-            Trace.emit (Trace.Mark "inside")))
+        Cost.scope_enter l (Cost.intern "dom7");
+        Cost.charge_id l (Cost.intern "work") 23;
+        Trace.emit (Trace.Mark "inside");
+        Cost.scope_exit l)
   in
   match Trace.ring_entries r with
   | [ a; b ] ->
       Alcotest.(check int) "ledger timestamp" 100 a.Trace.ts;
       Alcotest.(check string) "unscoped" "" a.Trace.scope;
       Alcotest.(check int) "later timestamp" 123 b.Trace.ts;
-      Alcotest.(check string) "scope mirrored from Cost.with_scope" "dom7" b.Trace.scope
+      Alcotest.(check string) "scope read from the ledger" "dom7" b.Trace.scope
   | es -> Alcotest.failf "expected 2 entries, got %d" (List.length es)
+
+(* The trace tag follows the ledger's stack, not a copy of it: a recording
+   started inside a scope tags its first events with that scope, and an
+   exit on a second ledger that is at depth 0 changes nothing. *)
+let test_scope_tags_follow_ledger () =
+  let l = Cost.ledger () and idle = Cost.ledger () in
+  let mark label = Trace.emit (Trace.Mark label) in
+  Cost.scope_enter l (Cost.intern "outer");
+  let nested =
+    with_trace (fun () ->
+        mark "before";
+        Cost.scope_enter l (Cost.intern "inner");
+        mark "inside";
+        Cost.scope_exit l;
+        mark "after")
+  in
+  Cost.scope_exit l;
+  let stray =
+    with_trace (fun () ->
+        Cost.scope_enter l (Cost.intern "A");
+        Cost.scope_exit idle;
+        mark "after stray exit";
+        Cost.scope_exit l)
+  in
+  Alcotest.(check (list string)) "recording started mid-scope"
+    [ "outer"; "inner"; "outer" ] (scope_tags nested);
+  Alcotest.(check (list string)) "exit on an idle ledger" [ "A" ] (scope_tags stray)
 
 (* --- golden JSONL trace -------------------------------------------------- *)
 
@@ -311,7 +373,9 @@ let () =
       ( "ring",
         [ Alcotest.test_case "wrap" `Quick test_ring_wrap;
           Alcotest.test_case "disabled" `Quick test_disabled_emits_nothing;
-          Alcotest.test_case "clock and scope" `Quick test_clock_and_scope_tagging ] );
+          Alcotest.test_case "clock and scope" `Quick test_clock_and_scope_tagging;
+          Alcotest.test_case "scope tags follow the ledger" `Quick
+            test_scope_tags_follow_ledger ] );
       ( "export",
         [ Alcotest.test_case "golden jsonl" `Slow test_golden_jsonl;
           Alcotest.test_case "jsonl well-formed" `Quick test_jsonl_well_formed;

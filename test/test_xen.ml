@@ -710,8 +710,9 @@ let words_per_call n f =
 
 let test_crossing_allocation_free () =
   (* The zero-alloc world switch, pinned: with tracing off, a steady-state
-     vmexit+vmrun pair allocates nothing, and a whole void hypercall
-     allocates only the boxed RIP result (3 words). A regression here —
+     vmexit+vmrun pair allocates nothing, a whole void hypercall
+     allocates only the boxed RIP result (3 words), and a guest body run
+     under [in_guest] allocates nothing. A regression here —
      a stray closure, an [int64] box, an option — shows up as a fraction
      of a word and fails loudly. *)
   Alcotest.(check bool) "tracing off" false (Fidelius_obs.Trace.enabled ());
@@ -729,7 +730,12 @@ let test_crossing_allocation_free () =
   in
   Alcotest.(check bool)
     (Printf.sprintf "void hypercall <= 4 words/call (got %.1f)" void)
-    true (void <= 4.0)
+    true (void <= 4.0);
+  (* Entering and leaving the domain's cost scope around a preallocated
+     guest body allocates nothing either. *)
+  let body () = () in
+  let guest = words_per_call 1000 (fun () -> Hv.in_guest hv dom body) in
+  Alcotest.(check (float 0.01)) "in_guest allocates nothing" 0.0 guest
 
 let () =
   Alcotest.run "xen"
