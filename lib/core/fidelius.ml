@@ -20,9 +20,6 @@ let write_start_info = Lifecycle.write_start_info
 let kblk_of_guest = Lifecycle.kblk_of_guest
 let attestation_report = Lifecycle.attestation_report
 
-let migrate ~src ~dst dom =
-  Result.map_error Migrate.error_to_string (Migrate.migrate ~src ~dst dom)
-
 let aesni_codec = Io_protect.aesni_codec
 let software_codec = Io_protect.software_codec
 let setup_sev_io = Io_protect.setup_sev_io

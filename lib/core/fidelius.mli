@@ -47,10 +47,6 @@ val write_start_info : ?off:int -> t -> Xen.Domain.t -> bytes -> (unit, string) 
 val kblk_of_guest : t -> Xen.Domain.t -> bytes
 val attestation_report : t -> string
 
-(** {2 Migration} *)
-
-val migrate : src:t -> dst:t -> Xen.Domain.t -> (Xen.Domain.t, string) result
-
 (** {2 I/O protection} *)
 
 val aesni_codec : t -> kblk:bytes -> Xen.Blkif.codec

@@ -72,23 +72,37 @@ let rollback_session s err =
 
 let receive_abort s = if not s.closed then ignore (rollback_session s (Failed "aborted"))
 
+(* Frames a protected guest of [memory_pages] takes from the free list:
+   the guest memory, one NPT and one GPT page-table page per 512 gfns
+   (8-byte entries), and the shadow's backing frame. *)
+let frames_needed memory_pages =
+  let per_table = Hw.Addr.page_size / 8 in
+  memory_pages + (2 * ((memory_pages + per_table - 1) / per_table)) + 1
+
 let receive_begin ctx ~name ~memory_pages ~wrapped_keys ~origin_public ~nonce ~policy =
   let hv = ctx.Ctx.hv in
-  (* 0. The frames allocated for this domain must be revoked from the
-     hypervisor as they are handed out. *)
-  ctx.Ctx.next_domain_protected <- true;
-  let dom = Xen.Hypervisor.create_domain hv ~name ~memory_pages in
-  ctx.Ctx.next_domain_protected <- false;
-  ctx.Ctx.protected_domids <- dom.Xen.Domain.domid :: ctx.Ctx.protected_domids;
-  ignore (Iso.new_shadow ctx dom);
-  let s = { ctx; dom; handle = 0; memory_pages; closed = false } in
-  (* 1. RECEIVE_START: unwrap Ktek/Ktik via the platform identity. *)
-  match
-    Sev.Firmware.receive_start hv.Xen.Hypervisor.fw ~wrapped:wrapped_keys
-      ~origin_public ~nonce ~policy ()
-  with
-  | Error e -> rollback_session s (Rejected ("boot: " ^ e))
-  | Ok handle -> Ok { s with handle }
+  (* The claimed size is untrusted (a migration START frame carries it):
+     refuse it before any flag is set or any frame is taken. *)
+  if memory_pages < 1 then Error (Failed "boot: guest claims no memory")
+  else if frames_needed memory_pages > Hw.Machine.frames_free ctx.Ctx.machine then
+    Error (Failed (Printf.sprintf "boot: host cannot back %d guest pages" memory_pages))
+  else begin
+    (* 0. The frames allocated for this domain must be revoked from the
+       hypervisor as they are handed out. *)
+    ctx.Ctx.next_domain_protected <- true;
+    let dom = Xen.Hypervisor.create_domain hv ~name ~memory_pages in
+    ctx.Ctx.next_domain_protected <- false;
+    ctx.Ctx.protected_domids <- dom.Xen.Domain.domid :: ctx.Ctx.protected_domids;
+    ignore (Iso.new_shadow ctx dom);
+    let s = { ctx; dom; handle = 0; memory_pages; closed = false } in
+    (* 1. RECEIVE_START: unwrap Ktek/Ktik via the platform identity. *)
+    match
+      Sev.Firmware.receive_start hv.Xen.Hypervisor.fw ~wrapped:wrapped_keys
+        ~origin_public ~nonce ~policy ()
+    with
+    | Error e -> rollback_session s (Rejected ("boot: " ^ e))
+    | Ok handle -> Ok { s with handle }
+  end
 
 let receive_pages s pages =
   if s.closed then Error (Failed "boot: receive session already closed")
@@ -151,7 +165,7 @@ let boot_protected_vm ctx ~name ~memory_pages ~prepared =
       receive_begin ctx ~name ~memory_pages ~wrapped_keys ~origin_public:owner_public
         ~nonce:image.Sev.Transport.nonce ~policy:image.Sev.Transport.policy
     in
-    (* The one-shot boot is the degenerate single-round receive: transport
+    (* A boot image is the degenerate single-round receive: transport
        index and placement gfn coincide. *)
     let* () =
       receive_pages s

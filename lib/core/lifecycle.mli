@@ -71,7 +71,9 @@ val receive_begin :
     are handed out) and run RECEIVE_START. [wrapped_keys], [origin_public],
     [nonce] and [policy] all arrived over the wire; a wrong or tampered
     wrap is refused here as [Rejected] (key unwrap is the platform's first
-    verification verdict). *)
+    verification verdict). So is [memory_pages]: a claim below one page or
+    beyond what the host's free frames can back is refused as [Failed]
+    before any host state changes. *)
 
 val receive_pages :
   session -> (int * Hw.Addr.gfn * bytes) list -> (unit, boot_error) result

@@ -8,15 +8,6 @@ module Sha256 = Fidelius_crypto.Sha256
 module Plan = Fidelius_inject.Plan
 module Site = Fidelius_inject.Site
 
-type snapshot = {
-  image : Sev.Transport.image;
-  wrapped_keys : Fidelius_crypto.Keywrap.wrapped;
-  origin_public : Fidelius_crypto.Dh.public;
-  memory_pages : int;
-  gpt_entries : (Hw.Addr.vfn * Hw.Pagetable.proto) list;
-  name : string;
-}
-
 type error =
   | Not_protected
   | Send_refused of string
@@ -49,14 +40,12 @@ let pp_error fmt = function
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
-let ( let* ) = Result.bind
-
 (* Transport indices are composite: placement gfn in the low bits, dirty
    round above. Two birds: a gfn resent in a later round gets a fresh CTR
    stream (no keystream reuse across rounds), and the index is folded into
    the keyed measurement, so the receiver deriving the placement from the
    index means a page cannot be silently re-homed. Round 0 indices equal
-   the gfn, which keeps the one-shot snapshot format unchanged. *)
+   the gfn, the same indexing as a LAUNCH-style boot image. *)
 let gfn_bits = 20
 let index_of ~round ~gfn = (round lsl gfn_bits) lor gfn
 let gfn_of_index index = index land ((1 lsl gfn_bits) - 1)
@@ -288,15 +277,15 @@ module Wire = struct
 
   (* The untrusted channel. With no plan installed it is the identity;
      with a fault plan armed it perturbs the encoded frame the way a
-     hostile relay would. Every path — one-shot [migrate], the live
-     driver, even the attestation replies — routes through here, so the
-     fault matrix exercises exactly the framing production code uses. *)
+     hostile relay would. Every frame — the live driver's, the
+     attestation replies, the plain-SEV probe's — routes through here, so
+     the fault matrix exercises exactly the framing production code uses. *)
   let transmit b =
     if not (Plan.armed ()) then b
     else begin
       (* Surgical: the last page record vanishes but the frame is
-         re-framed consistently, so only the keyed measurement (or the
-         one-shot page-count check) can notice. *)
+         re-framed consistently, so only the keyed measurement can
+         notice. *)
       let b =
         if is_update b && Plan.fire Site.Round_truncate then
           reencode_update
@@ -339,144 +328,6 @@ module Wire = struct
       b
     end
 end
-
-(* --- one-shot stop-and-copy (the original API, now over real framing) --- *)
-
-let send ctx (dom : Xen.Domain.t) ~target_public =
-  let hv = ctx.Ctx.hv in
-  let fw = hv.Xen.Hypervisor.fw in
-  match dom.Xen.Domain.sev_handle with
-  | None -> Error Not_protected
-  | Some handle ->
-      let refuse r = Result.map_error (fun e -> Send_refused e) r in
-      let nonce = Rng.next64 ctx.Ctx.machine.Fidelius_hw.Machine.rng in
-      (* SEND_START then an immediate pause: the one-shot path stops the
-         guest for the whole copy (paper 4.3.6); [migrate_live] below keeps
-         it running instead. *)
-      let* wrapped_keys = refuse (Sev.Firmware.send_start fw ~handle ~target_public ~nonce) in
-      dom.Xen.Domain.state <- Xen.Domain.Paused;
-      let mapped =
-        Hw.Pagetable.mapped_frames dom.Xen.Domain.npt
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      let* pages =
-        List.fold_left
-          (fun acc (gfn, (npte : Hw.Pagetable.proto)) ->
-            let* acc = acc in
-            let* cipher =
-              refuse
-                (Sev.Firmware.send_update fw ~handle ~index:gfn
-                   ~src_pfn:npte.Hw.Pagetable.frame)
-            in
-            Ok ((gfn, cipher) :: acc))
-          (Ok []) mapped
-      in
-      let pages = List.rev pages in
-      let* measurement = refuse (Sev.Firmware.send_finish fw ~handle) in
-      let policy = Sev.Firmware.policy_nodbg in
-      let snap =
-        { image = { Sev.Transport.pages; measurement; policy; nonce };
-          wrapped_keys;
-          origin_public = Sev.Firmware.platform_public fw;
-          memory_pages = List.length pages;
-          gpt_entries = Hw.Pagetable.mapped_frames dom.Xen.Domain.gpt;
-          name = dom.Xen.Domain.name }
-      in
-      Lifecycle.shutdown_protected_vm ctx dom;
-      Ok snap
-
-let frames_of_snapshot snap =
-  [ Wire.Start
-      { name = snap.name;
-        memory_pages = snap.memory_pages;
-        policy = snap.image.Sev.Transport.policy;
-        nonce = snap.image.Sev.Transport.nonce;
-        wrapped_keys = snap.wrapped_keys;
-        origin_public = snap.origin_public };
-    Wire.Update { round = 0; pages = snap.image.Sev.Transport.pages };
-    Wire.Finish
-      { measurement = snap.image.Sev.Transport.measurement;
-        gpt_entries = snap.gpt_entries } ]
-
-(* The one-shot snapshot crosses the channel as three frames. The
-   reassembled snapshot is what the target actually received — a damaged
-   stream surfaces here as a typed decode error. *)
-let transmit snap =
-  let* rev_frames =
-    List.fold_left
-      (fun acc f ->
-        let* acc = acc in
-        let* f = Wire.decode (Wire.transmit (Wire.encode f)) in
-        Ok (f :: acc))
-      (Ok []) (frames_of_snapshot snap)
-  in
-  match List.rev rev_frames with
-  | [ Wire.Start { name; memory_pages; policy; nonce; wrapped_keys; origin_public };
-      Wire.Update { round = _; pages };
-      Wire.Finish { measurement; gpt_entries } ] ->
-      Ok
-        { image =
-            { Sev.Transport.pages = List.map (fun (i, c) -> (gfn_of_index i, c)) pages;
-              measurement;
-              policy;
-              nonce };
-          wrapped_keys;
-          origin_public;
-          memory_pages;
-          gpt_entries;
-          name }
-  | _ -> Error (Malformed "unexpected frame sequence")
-
-(* Structural checks first, so an obviously damaged snapshot is refused
-   with a precise typed error before any firmware state is created. *)
-let validate snap =
-  let pages = snap.image.Sev.Transport.pages in
-  let got = List.length pages in
-  if got < snap.memory_pages then Error (Truncated { expected = snap.memory_pages; got })
-  else begin
-    let bad = List.find_opt (fun (_, c) -> Bytes.length c <> Hw.Addr.page_size) pages in
-    match bad with
-    | Some (gfn, c) ->
-        Error
-          (Malformed
-             (Printf.sprintf "page for gfn 0x%x is %d bytes, want %d" gfn (Bytes.length c)
-                Hw.Addr.page_size))
-    | None -> Ok ()
-  end
-
-let receive ctx snap =
-  let* () = validate snap in
-  let prepared =
-    { Sev.Transport.Owner.image = snap.image;
-      wrapped_keys = snap.wrapped_keys;
-      owner_public = snap.origin_public;
-      kblk = Bytes.create 16 (* travels inside the encrypted memory itself *) }
-  in
-  let memory_pages =
-    (* The target reserves at least as much memory as the snapshot spans. *)
-    List.fold_left (fun m (gfn, _) -> max m (gfn + 1)) snap.memory_pages
-      snap.image.Sev.Transport.pages
-  in
-  let* dom =
-    match Lifecycle.boot_protected_vm ctx ~name:snap.name ~memory_pages ~prepared with
-    | Ok dom -> Ok dom
-    | Error (Lifecycle.Rejected e) -> Error (Rejected e)
-    | Error (Lifecycle.Failed e) -> Error (Boot_failed e)
-  in
-  (* Restore the guest page table (in reality it lives inside the migrated
-     memory; the simulator keeps it as a separate structure). *)
-  List.iter (fun (gvfn, proto) -> Hw.Pagetable.hw_set dom.Xen.Domain.gpt gvfn (Some proto))
-    snap.gpt_entries;
-  Ok dom
-
-let migrate ~src ~dst dom =
-  match dom.Xen.Domain.sev_handle with
-  | None -> Error Not_protected
-  | Some _ ->
-      let target_public = Sev.Firmware.platform_public dst.Ctx.hv.Xen.Hypervisor.fw in
-      let* snap = send src dom ~target_public in
-      let* snap = transmit snap in
-      receive dst snap
 
 (* --- attested secret injection ------------------------------------------ *)
 

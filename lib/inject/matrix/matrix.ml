@@ -199,41 +199,57 @@ let plain_migration_probe ~seed site =
     in
     let* measurement = Sev.Firmware.send_finish fw1 ~handle:handle1 in
     Ok
-      { Core.Migrate.image =
-          { Sev.Transport.pages = List.rev pages;
-            measurement;
-            policy = Sev.Firmware.policy_nodbg;
-            nonce };
-        wrapped_keys;
-        origin_public = Sev.Firmware.platform_public fw1;
-        memory_pages = List.length pages;
-        gpt_entries = [];
-        name = "victim" }
+      Core.Migrate.Wire.
+        [ Start
+            { name = "victim";
+              memory_pages = List.length pages;
+              policy = Sev.Firmware.policy_nodbg;
+              nonce;
+              wrapped_keys;
+              origin_public = Sev.Firmware.platform_public fw1 };
+          Update { round = 0; pages = List.rev pages };
+          Finish { measurement; gpt_entries = [] } ]
   in
   match sent with
   | Error e -> (Harness_error, "plain send failed clean: " ^ e)
-  | Ok snap -> (
+  | Ok frames -> (
       let received =
         with_plan ~seed site (fun () ->
             try
-              let* snap =
-                Result.map_error
-                  (fun e -> `Wire (Core.Migrate.error_to_string e))
-                  (Core.Migrate.transmit snap)
+              (* The stock hypervisor relays the frames over the same
+                 untrusted channel; what it decodes is what it feeds the
+                 target firmware. *)
+              let* rev_frames =
+                List.fold_left
+                  (fun acc f ->
+                    let* acc = acc in
+                    let* f =
+                      Result.map_error
+                        (fun e -> `Wire (Core.Migrate.error_to_string e))
+                        Core.Migrate.Wire.(decode (transmit (encode f)))
+                    in
+                    Ok (f :: acc))
+                  (Ok []) frames
               in
-              let memory_pages = snap.Core.Migrate.memory_pages in
+              let* wrapped, origin_public, nonce, policy, memory_pages, pages, measurement =
+                match List.rev rev_frames with
+                | Core.Migrate.Wire.
+                    [ Start { memory_pages; policy; nonce; wrapped_keys; origin_public; _ };
+                      Update { pages; _ };
+                      Finish { measurement; _ } ] ->
+                    Ok (wrapped_keys, origin_public, nonce, policy, memory_pages, pages, measurement)
+                | _ -> Error (`Wire "unexpected frame sequence")
+              in
               let dom2 = Xen.Hypervisor.create_domain hv2 ~name:"victim" ~memory_pages in
               let* handle2 =
                 Result.map_error (fun e -> `Rejected e)
-                  (Sev.Firmware.receive_start fw2 ~wrapped:snap.Core.Migrate.wrapped_keys
-                     ~origin_public:snap.Core.Migrate.origin_public
-                     ~nonce:snap.Core.Migrate.image.Sev.Transport.nonce
-                     ~policy:snap.Core.Migrate.image.Sev.Transport.policy ())
+                  (Sev.Firmware.receive_start fw2 ~wrapped ~origin_public ~nonce ~policy ())
               in
               let* () =
                 List.fold_left
-                  (fun acc (gfn, cipher) ->
+                  (fun acc (index, cipher) ->
                     let* () = acc in
+                    let gfn = Core.Migrate.gfn_of_index index in
                     match Hw.Pagetable.lookup dom2.Xen.Domain.npt gfn with
                     | None -> Error (`Mechanical (Printf.sprintf "gfn 0x%x unbacked" gfn))
                     | Some npte ->
@@ -241,12 +257,11 @@ let plain_migration_probe ~seed site =
                           (fun e -> `Rejected e)
                           (Sev.Firmware.receive_update fw2 ~handle:handle2 ~index:gfn
                              ~cipher ~dst_pfn:npte.Hw.Pagetable.frame))
-                  (Ok ()) snap.Core.Migrate.image.Sev.Transport.pages
+                  (Ok ()) pages
               in
               let* () =
                 Result.map_error (fun e -> `Rejected e)
-                  (Sev.Firmware.receive_finish fw2 ~handle:handle2
-                     ~expected:snap.Core.Migrate.image.Sev.Transport.measurement)
+                  (Sev.Firmware.receive_finish fw2 ~handle:handle2 ~expected:measurement)
               in
               let* () =
                 Result.map_error (fun e -> `Mechanical e)

@@ -446,7 +446,7 @@ let test_nosend_policy () =
   let m2 = Hw.Machine.create ~seed:72L () in
   let fid2 = Fid.install (Hv.boot m2) in
   Alcotest.(check bool) "migration refused" true
-    (Result.is_error (Fid.migrate ~src:fid ~dst:fid2 dom))
+    (Result.is_error (Core.Migrate.migrate_live ~src:fid ~dst:fid2 dom))
 
 let test_boot_wrong_platform_fails () =
   let (_, _, fid) = installed () in
@@ -1003,7 +1003,10 @@ let test_migration_roundtrip () =
   Hv.in_guest hv1 dom (fun () ->
       Domain.write hv1.Hv.machine dom ~addr:0x6000 (Bytes.of_string "runtime state"));
   let m2, hv2, fid2 = second_machine () in
-  let dom' = ok (Fid.migrate ~src:fid1 ~dst:fid2 dom) in
+  let dom', _ =
+    ok (Result.map_error Core.Migrate.error_to_string
+          (Core.Migrate.migrate_live ~src:fid1 ~dst:fid2 dom))
+  in
   Alcotest.(check bool) "source destroyed" true (Hv.find_domain hv1 dom.Domain.domid = None);
   let b = Hv.in_guest hv2 dom' (fun () -> Domain.read m2 dom' ~addr:0x6000 ~len:13) in
   Alcotest.(check string) "runtime state survives" "runtime state" (Bytes.to_string b);
@@ -1011,46 +1014,55 @@ let test_migration_roundtrip () =
   Alcotest.(check string) "kernel survives" "BBBB" (Bytes.to_string k);
   Alcotest.(check bool) "protected on target" true (Fid.is_protected fid2 dom'.Domain.domid)
 
+(* Deliver the frames in order to a fresh receiver; the first refusal. *)
+let receive_frames target frames =
+  let rx = Core.Migrate.rx_create target in
+  List.fold_left
+    (fun acc f ->
+      match acc with
+      | Error _ -> acc
+      | Ok () ->
+          Result.map ignore (Core.Migrate.rx_deliver rx (Core.Migrate.Wire.encode f)))
+    (Ok ()) frames
+
 let test_migration_tampered_snapshot () =
-  let ((_, _, fid1) as env) = installed () in
+  let ((_, hv1, _) as env) = installed () in
   let dom, _ = protected_vm env "traveller" in
   let _, _, fid2 = second_machine () in
-  let target_public = Fid.platform_key fid2 in
-  let snap =
-    ok (Result.map_error Core.Migrate.error_to_string (Core.Migrate.send fid1 dom ~target_public))
+  let start, pages, finish =
+    Send_frames.single_round hv1.Hv.fw dom ~target_public:(Fid.platform_key fid2)
   in
   let tampered =
-    { snap with
-      Core.Migrate.image =
-        { snap.Core.Migrate.image with
-          Sev.Transport.pages =
-            List.map
-              (fun (i, c) ->
-                let c = Bytes.copy c in
-                Bytes.set c 7 (Char.chr (Char.code (Bytes.get c 7) lxor 2));
-                (i, c))
-              snap.Core.Migrate.image.Sev.Transport.pages } }
+    List.map
+      (fun (i, c) ->
+        let c = Bytes.copy c in
+        Bytes.set c 7 (Char.chr (Char.code (Bytes.get c 7) lxor 2));
+        (i, c))
+      pages
   in
   (* The refusal must carry the platform's verdict, not a generic error:
      the measurement check is what caught the tampering. *)
   Alcotest.(check bool) "tampered snapshot refused as Rejected" true
-    (match Core.Migrate.receive fid2 tampered with
+    (match
+       receive_frames fid2
+         [ start; Core.Migrate.Wire.Update { round = 0; pages = tampered }; finish ]
+     with
     | Error (Core.Migrate.Rejected _) -> true
     | _ -> false)
 
 let test_migration_wrong_target () =
-  let ((_, _, fid1) as env) = installed () in
+  let ((_, hv1, _) as env) = installed () in
   let dom, _ = protected_vm env "traveller" in
   let _, _, fid2 = second_machine () in
   let _, _, fid3 = second_machine ~seed:72L () in
-  (* Snapshot aimed at machine 2 cannot be received by machine 3. *)
-  let snap =
-    ok
-      (Result.map_error Core.Migrate.error_to_string
-         (Core.Migrate.send fid1 dom ~target_public:(Fid.platform_key fid2)))
+  (* A stream aimed at machine 2 cannot be received by machine 3. *)
+  let start, pages, finish =
+    Send_frames.single_round hv1.Hv.fw dom ~target_public:(Fid.platform_key fid2)
   in
   Alcotest.(check bool) "wrong target refused as Rejected" true
-    (match Core.Migrate.receive fid3 snap with
+    (match
+       receive_frames fid3 [ start; Core.Migrate.Wire.Update { round = 0; pages }; finish ]
+     with
     | Error (Core.Migrate.Rejected _) -> true
     | _ -> false)
 
@@ -1076,9 +1088,9 @@ let test_migration_preserves_arbitrary_state =
         writes;
       let m2, hv2, fid2 = second_machine ~seed:(Int64.of_int (Hashtbl.hash writes)) () in
       ignore m2;
-      match Core.Migrate.migrate ~src:fid1 ~dst:fid2 dom with
+      match Core.Migrate.migrate_live ~src:fid1 ~dst:fid2 dom with
       | Error _ -> false
-      | Ok dom' ->
+      | Ok (dom', _) ->
           List.for_all
             (fun (page, payload) ->
               let got =
@@ -1095,7 +1107,7 @@ let test_migration_requires_protection () =
   let plain = Hv.create_domain hv ~name:"plain" ~memory_pages:4 in
   let _, _, fid2 = second_machine () in
   Alcotest.(check bool) "unprotected refused" true
-    (Result.is_error (Fid.migrate ~src:fid ~dst:fid2 plain))
+    (Result.is_error (Core.Migrate.migrate_live ~src:fid ~dst:fid2 plain))
 
 let prop t = QCheck_alcotest.to_alcotest t
 

@@ -147,7 +147,7 @@ let test_truncated_snapshot_fails_closed () =
   with_installed
     (Plan.make ~seed:3L [ Plan.always Site.Snapshot_truncate ])
     (fun () ->
-      match Core.Migrate.migrate ~src:fid1 ~dst:fid2 dom with
+      match Core.Migrate.migrate_live ~src:fid1 ~dst:fid2 dom with
       | Error (Core.Migrate.Truncated { expected; got }) ->
           Alcotest.(check bool) "page deficit reported" true (got < expected)
       | Error e -> Alcotest.fail ("expected Truncated, got " ^ Core.Migrate.error_to_string e)
@@ -158,7 +158,7 @@ let test_flipped_snapshot_fails_closed () =
   with_installed
     (Plan.make ~seed:3L [ Plan.always Site.Snapshot_flip ])
     (fun () ->
-      match Core.Migrate.migrate ~src:fid1 ~dst:fid2 dom with
+      match Core.Migrate.migrate_live ~src:fid1 ~dst:fid2 dom with
       | Error (Core.Migrate.Rejected _) -> ()
       | Error e -> Alcotest.fail ("expected Rejected, got " ^ Core.Migrate.error_to_string e)
       | Ok _ -> Alcotest.fail "bit-flipped snapshot was accepted")

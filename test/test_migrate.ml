@@ -245,6 +245,99 @@ let test_out_of_order_frame_refused () =
   | Error e -> Alcotest.fail ("expected Protocol_violation, got " ^ Migrate.error_to_string e)
   | Ok _ -> Alcotest.fail "UPDATE before START was accepted"
 
+(* A START frame's memory claim is untrusted: an empty claim, or one the
+   target cannot back, is refused with a typed error before the target
+   allocates anything or marks the next domain protected. *)
+let test_hostile_start_refused () =
+  let _, hv1, fid1, dom, m2, _, fid2, mutate, owner = live_pair () in
+  let start, _, _ =
+    Send_frames.single_round hv1.Hv.fw
+      (protected_vm fid1 "decoy")
+      ~target_public:(Fid.platform_key fid2)
+  in
+  let free = Hw.Machine.frames_free m2 in
+  let protected_before = fid2.Core.Ctx.protected_domids in
+  List.iter
+    (fun memory_pages ->
+      let frame =
+        match start with
+        | Migrate.Wire.Start s -> Migrate.Wire.Start { s with memory_pages }
+        | _ -> assert false
+      in
+      match Migrate.rx_deliver (Migrate.rx_create fid2) (Migrate.Wire.encode frame) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "START claiming %d pages was accepted" memory_pages)
+    [ 1_000_000; 0x7fffffff; 0 ];
+  Alcotest.(check int) "no frame taken" free (Hw.Machine.frames_free m2);
+  Alcotest.(check bool) "next domain not marked protected" false
+    fid2.Core.Ctx.next_domain_protected;
+  Alcotest.(check (list int)) "protected domains unchanged" protected_before
+    fid2.Core.Ctx.protected_domids;
+  match Migrate.migrate_live ~owner ~mutate ~src:fid1 ~dst:fid2 dom with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("migration after the refusals: " ^ Migrate.error_to_string e)
+
+(* The receiver is total. Real frames of every kind, with
+   one to four bytes overwritten and optionally cut short, are decoded
+   and then delivered in sequence to the one target; any outcome but an
+   exception is fine. A guest that completes is shut down again so the
+   target does not fill up across cases. *)
+let n_frames = 5
+
+let fuzz_target =
+  lazy
+    (let _, hv1, fid1, _, _, _, fid2, _, _ = live_pair () in
+     let start, pages, finish =
+       Send_frames.single_round hv1.Hv.fw
+         (protected_vm fid1 "fuzzed")
+         ~target_public:(Fid.platform_key fid2)
+     in
+     let secret = Keywrap.wrap ~kek:(Bytes.make 32 'k') (Bytes.make 16 'd') in
+     ( fid2,
+       Array.map Migrate.Wire.encode
+         [| start;
+            Migrate.Wire.Update { round = 0; pages };
+            finish;
+            Migrate.Wire.Attest_req { nonce = 3L };
+            Migrate.Wire.Secret { wrapped = Keywrap.to_bytes secret } |] ))
+
+let test_receiver_total =
+  let gen =
+    QCheck.Gen.(
+      let* victim = int_bound (n_frames - 1) in
+      (* Half the edits land in the first 64 bytes, where the framing
+         and the small fields live; the rest anywhere in the frame. *)
+      let* edits = list_size (int_range 1 4) (triple bool nat (int_bound 255)) in
+      let* cut = opt nat in
+      return (victim, edits, cut))
+  in
+  let print (victim, edits, cut) =
+    Printf.sprintf "frame %d, edits [%s], cut %s" victim
+      (String.concat "; "
+         (List.map (fun (head, pos, v) -> Printf.sprintf "%b:%d=%d" head pos v) edits))
+      (match cut with None -> "none" | Some c -> string_of_int c)
+  in
+  QCheck.Test.make ~name:"receiver is total under byte mutation" ~count:250
+    (QCheck.make ~print gen)
+    (fun (victim, edits, cut) ->
+      let fid2, frames = Lazy.force fuzz_target in
+      let b = Bytes.copy frames.(victim) in
+      List.iter
+        (fun (head, pos, v) ->
+          let span = if head then min 64 (Bytes.length b) else Bytes.length b in
+          Bytes.set_uint8 b (pos mod span) v)
+        edits;
+      let b =
+        match cut with None -> b | Some c -> Bytes.sub b 0 (c mod (Bytes.length b + 1))
+      in
+      ignore (Migrate.Wire.decode b);
+      let rx = Migrate.rx_create fid2 in
+      Array.iteri
+        (fun i f -> ignore (Migrate.rx_deliver rx (if i = victim then b else f)))
+        frames;
+      Option.iter (Core.Lifecycle.shutdown_protected_vm fid2) (Migrate.rx_domain rx);
+      true)
+
 (* --- fleet determinism --------------------------------------------------- *)
 
 let test_fleet_determinism () =
@@ -293,7 +386,10 @@ let () =
           Alcotest.test_case "surgical round truncation rejected" `Quick
             test_round_truncate_rejected;
           Alcotest.test_case "out-of-order frame refused" `Quick
-            test_out_of_order_frame_refused
+            test_out_of_order_frame_refused;
+          Alcotest.test_case "hostile START refused" `Quick test_hostile_start_refused;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 15 |])
+            test_receiver_total
         ] );
       ( "fleet",
         [ Alcotest.test_case "deterministic at any domain count" `Quick
