@@ -35,15 +35,6 @@ let chrome_of_shards shards =
       ("displayTimeUnit", Json.Str "ns");
       ("otherData", chrome_other_data counts) ]
 
-let sum_counts listings =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (List.iter (fun (k, v) ->
-         Hashtbl.replace tbl k (v + Option.value ~default:0 (Hashtbl.find_opt tbl k))))
-    listings;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (ka, a) (kb, b) -> if a <> b then compare b a else compare ka kb)
-
 (* --- spill files: streaming shard output -------------------------------- *)
 
 let concat_spills ~out ?(header = "") ?(footer = "") paths =

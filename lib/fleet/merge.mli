@@ -33,10 +33,12 @@ val concat_spills : out:string -> ?header:string -> ?footer:string -> string lis
     [out] — streaming in 64 KiB blocks, so peak memory is independent of
     the spill sizes (the bounded-RSS half of the 1,000-VM fleet story).
     Determinism is inherited from the inputs: callers pass spill paths in
-    canonical chunk order, and each spill was written by exactly one
-    worker in canonical job order. No separators are inserted — writers
-    embed their own (the fleet's chrome spills carry a leading comma on
-    every job fragment after the global first). Raises [Sys_error] if
+    worker order, each spill was written by exactly one worker in
+    canonical job order, and workers own contiguous, in-order job ranges
+    ([Pool.ranges]), so worker order is canonical job order. No
+    separators are inserted — writers embed their own (the fleet's chrome
+    spills carry a leading comma on every job fragment after the global
+    first). Raises [Sys_error] if
     any file cannot be opened; [out] is closed (possibly truncated) on
     any failure, never left dangling. *)
 
@@ -50,12 +52,6 @@ val chrome_of_shards :
     document's bytes depend only on the input, not on how many domains
     produced it. [otherData] carries the shard count and per-shard event
     counts (label order preserved). *)
-
-val sum_counts : (string * int) list list -> (string * int) list
-(** Pointwise sum of per-shard counter listings (ledger categories,
-    scope attributions...). The result is sorted by descending count,
-    ties broken on the label — the same canonical order [Hw.Cost] uses —
-    so the merged listing never depends on input interleaving. *)
 
 val csv : header:string -> (string list) list -> string
 (** [csv ~header rows] assembles per-shard row groups into one CSV

@@ -1,26 +1,16 @@
 let recommended_domains () = max 1 (Domain.recommended_domain_count ())
 
-let chunks ~njobs ~ndomains =
-  if njobs < 0 then invalid_arg "Pool.chunks: njobs must be >= 0";
-  if ndomains < 1 then invalid_arg "Pool.chunks: ndomains must be >= 1";
-  let d = min ndomains (max njobs 1) in
-  let q = njobs / d and r = njobs mod d in
-  List.init d (fun i -> ((i * q) + min i r, q + if i < r then 1 else 0))
-
 let workers ~njobs ~ndomains =
-  min (recommended_domains ()) (List.length (chunks ~njobs ~ndomains))
+  if njobs < 0 then invalid_arg "Pool.workers: njobs must be >= 0";
+  if ndomains < 1 then invalid_arg "Pool.workers: ndomains must be >= 1";
+  min (recommended_domains ()) (min ndomains (max njobs 1))
 
-(* The inverse of the balanced split [chunks] makes of jobs, applied to
-   chunks: the first [r] workers own [q + 1] consecutive chunks, the rest
-   [q]. *)
-let chunk_worker ~nchunks ~nworkers i =
-  if nchunks < 1 then invalid_arg "Pool.chunk_worker: nchunks must be >= 1";
-  if nworkers < 1 then invalid_arg "Pool.chunk_worker: nworkers must be >= 1";
-  if i < 0 || i >= nchunks then invalid_arg "Pool.chunk_worker: chunk out of range";
-  let w = min nworkers nchunks in
-  let q = nchunks / w and r = nchunks mod w in
-  let big = r * (q + 1) in
-  if i < big then i / (q + 1) else r + ((i - big) / q)
+let ranges ~njobs ~nworkers =
+  if njobs < 0 then invalid_arg "Pool.ranges: njobs must be >= 0";
+  if nworkers < 1 then invalid_arg "Pool.ranges: nworkers must be >= 1";
+  let w = min nworkers (max njobs 1) in
+  let q = njobs / w and r = njobs mod w in
+  List.init w (fun i -> ((i * q) + min i r, q + if i < r then 1 else 0))
 
 exception Job_failed of { job : int; exn : exn }
 
@@ -47,53 +37,30 @@ let map_gen ~who ?domains ~njobs ~init ~finish f =
        ring, fault plan) — otherwise [~domains:1] and [~domains:n] could
        observably differ.
 
-       At most [recommended_domains ()] worker domains exist per call:
-       chunks beyond the cap are dealt to the workers in contiguous blocks
-       ([chunk_worker]), so each worker runs one contiguous job range in
-       order. Two failure modes are
-       avoided at once. Spawning all requested domains concurrently
-       oversubscribes the cores, and OCaml 5's minor GC is a
-       stop-the-world rendezvous across running domains, so every
-       allocation pause waits on timesliced stragglers — that is what made
-       [~domains:2] run slower than [~domains:1] on a single-core host.
-       And spawning them sequentially pays a domain lifecycle
-       (spawn/teardown against a warm major heap measures ~10ms) per
-       chunk. With the cap, [~domains:n] on one core spawns exactly one
-       domain and executes jobs 0..njobs-1 in the same order as
-       [~domains:1]. The job → chunk assignment is untouched: the cap only
-       changes which OS-level domain hosts a chunk, never the chunking or
-       the slot each job writes, so results and artifacts stay
-       byte-identical for every domain count. *)
-    let chunk_list = chunks ~njobs ~ndomains in
-    let nchunks = List.length chunk_list in
-    let nworkers = min (recommended_domains ()) nchunks in
-    let groups = Array.make nworkers [] in
-    List.iteri
-      (fun i c ->
-        let w = chunk_worker ~nchunks ~nworkers i in
-        groups.(w) <- c :: groups.(w))
-      chunk_list;
+       At most [recommended_domains ()] worker domains exist per call, each
+       running one contiguous job range in order. More domains than cores
+       would oversubscribe them, and OCaml 5's minor GC is a stop-the-world
+       rendezvous across running domains, so every allocation pause would
+       wait on timesliced stragglers — that is what made [~domains:2] run
+       slower than [~domains:1] on a single-core host. Each job writes only
+       its own slot, so results and artifacts are byte-identical for every
+       domain count whatever the split. *)
     let spawned =
-      Array.to_list
-        (Array.mapi
-           (fun w rev_chunks ->
-             let mine = List.rev rev_chunks in
-             Domain.spawn (fun () ->
-                 (* Worker-local state (an arena) lives for the whole worker:
-                    [init] runs before the first chunk, [finish] after the
-                    last — even when jobs raise, since job exceptions are
-                    confined to their slots. *)
-                 let st = init w in
-                 Fun.protect
-                   ~finally:(fun () -> finish w st)
-                   (fun () ->
-                     List.iter
-                       (fun (start, len) ->
-                         for j = start to start + len - 1 do
-                           slots.(j) <- (try Done (f st j) with e -> Raised e)
-                         done)
-                       mine)))
-           groups)
+      List.mapi
+        (fun w (start, len) ->
+          Domain.spawn (fun () ->
+              (* Worker-local state (an arena) lives for the whole worker:
+                 [init] runs before the first job, [finish] after the last —
+                 even when jobs raise, since job exceptions are confined to
+                 their slots. *)
+              let st = init w in
+              Fun.protect
+                ~finally:(fun () -> finish w st)
+                (fun () ->
+                  for j = start to start + len - 1 do
+                    slots.(j) <- (try Done (f st j) with e -> Raised e)
+                  done)))
+        (ranges ~njobs ~nworkers:(workers ~njobs ~ndomains))
     in
     (* Join every worker before propagating anything: an [init]/[finish]
        failure on one worker must not leave others unjoined (their slot

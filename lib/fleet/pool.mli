@@ -11,24 +11,21 @@
 
     {2 Scheduling}
 
-    Scheduling is chunked and static: job [j] belongs to the domain given
-    by {!chunks}, a pure function of [(njobs, ndomains)]. There is no
-    work-stealing and no shared queue, so no lock, no contention, and no
-    run-to-run variation in which domain executes which job.
+    Scheduling is static: {!map} spawns {!workers} domains and gives
+    worker [w] the [w]-th job range of {!ranges}, a pure function of
+    [(njobs, nworkers)]. There is no work-stealing and no shared queue,
+    so no lock, no contention, and no run-to-run variation in which
+    worker executes which job.
 
-    Requested parallelism and spawned domains are decoupled: [domains]
-    fixes the chunking (and therefore the results), while the number of
-    worker domains actually spawned is capped at {!recommended_domains},
-    with excess chunks dealt to the workers in contiguous blocks
-    ({!chunk_worker}), so each worker owns one contiguous job range. OCaml
-    5's minor GC is a stop-the-world rendezvous over all running
-    domains, so running more domains than cores stalls every allocation
-    on timesliced stragglers, and even {e sequential} extra domains pay
-    a measurable spawn/teardown cost against a warm heap — both were
-    measured as [~domains:2] running slower than [~domains:1] on one
-    core before the cap. The cap changes only which domain hosts a
-    chunk, never the chunking itself, so results and artifacts remain
-    byte-identical across domain counts.
+    The worker count is the requested [domains], capped at the job count
+    and at {!recommended_domains}. OCaml 5's minor GC is a stop-the-world
+    rendezvous over all running domains, so running more domains than
+    cores stalls every allocation on timesliced stragglers, and even
+    {e sequential} extra domains pay a measurable spawn/teardown cost
+    against a warm heap — both were measured as [~domains:2] running
+    slower than [~domains:1] on one core before the cap. Results never
+    depend on the split, because each job writes only its own result
+    slot, so artifacts are byte-identical across domain counts.
 
     {2 State ownership}
 
@@ -36,14 +33,13 @@
     caller's domain, even when [domains = 1] — so no job inherits the
     caller's [Domain.DLS] state: tracing disabled ({!Fidelius_obs.Trace}),
     no fault plan installed ([Fidelius_inject.Plan]). Jobs mapped to the
-    same worker share that worker's DLS (this was always true within a
-    chunk: [domains = 1] runs every job on one domain), so a job that
-    mutates DLS must restore it — e.g. scope tracing with
-    [Trace.capture] — or jobs could observe co-scheduled neighbours and
-    break domain-count invariance. A job must construct (or be handed
-    exclusive ownership of) every piece of mutable state it touches;
-    sharing a machine, ledger, or expanded AES key between jobs is a
-    data race. *)
+    same worker share that worker's DLS ([domains = 1] runs every job on
+    one domain), so a job that mutates DLS must restore it — e.g. scope
+    tracing with [Trace.record_into] — or jobs could observe co-scheduled
+    neighbours and break domain-count invariance. A job must construct
+    (or be handed exclusive ownership of) every piece of mutable state it
+    touches; sharing a machine, ledger, or expanded AES key between jobs
+    is a data race. *)
 
 val recommended_domains : unit -> int
 (** The runtime's suggested parallelism ([Domain.recommended_domain_count]),
@@ -52,33 +48,21 @@ val recommended_domains : unit -> int
 val workers : njobs:int -> ndomains:int -> int
 (** [workers ~njobs ~ndomains] is how many worker domains {!map} (and
     {!map_with}) will actually spawn for that job/domain request:
-    [min (recommended_domains ()) (List.length (chunks ~njobs ~ndomains))].
+    [min (recommended_domains ()) (min ndomains (max njobs 1))].
     Deterministic for a fixed host ({!recommended_domains} is the only
-    environment-dependent input); never 0 for [njobs >= 0]. Callers that
-    size per-worker accumulators (e.g. one GC report slot per worker)
-    must use this, not [ndomains] — requested domains beyond the cap are
-    multiplexed and own no worker of their own. Raises
-    [Invalid_argument] like {!chunks}. *)
+    environment-dependent input); never 0. Callers that size per-worker
+    accumulators (e.g. one GC report slot per worker) must use this, not
+    [ndomains] — requested domains beyond the cap get no worker of their
+    own. Raises [Invalid_argument] if [njobs < 0] or [ndomains < 1]. *)
 
-val chunks : njobs:int -> ndomains:int -> (int * int) list
-(** [chunks ~njobs ~ndomains] is the static job → domain assignment: one
-    [(start, len)] pair per worker domain, covering [0 .. njobs - 1] with
-    contiguous, disjoint, in-order chunks whose lengths differ by at most
-    one. A pure function of its two arguments — part of the determinism
-    contract, pinned by a qcheck partition property. At most
-    [max njobs 1] domains are used, so no worker is ever empty (except
-    the single worker of an empty job list). Raises [Invalid_argument]
-    if [njobs < 0] or [ndomains < 1]. *)
-
-val chunk_worker : nchunks:int -> nworkers:int -> int -> int
-(** [chunk_worker ~nchunks ~nworkers i] is the worker that runs chunk [i]
-    of [nchunks] when [nworkers] workers exist ({!map} passes
-    [workers ~njobs ~ndomains]). Workers own contiguous, in-order blocks
-    of chunks whose sizes differ by at most one — the same balanced split
-    {!chunks} makes of jobs — so each worker runs one contiguous job
-    range. A pure function of its arguments; [nworkers] is clamped to
-    [nchunks]. Raises [Invalid_argument] if [nchunks < 1],
-    [nworkers < 1] or [i] is not in [0 .. nchunks - 1]. *)
+val ranges : njobs:int -> nworkers:int -> (int * int) list
+(** [ranges ~njobs ~nworkers] is the static job → worker assignment: one
+    [(start, len)] pair per worker, covering [0 .. njobs - 1] with
+    contiguous, disjoint, in-order ranges whose lengths differ by at most
+    one. A pure function of its two arguments, so the split is testable
+    for any core count. At most [max njobs 1] ranges are returned, so no
+    worker is ever empty (except the single worker of an empty job
+    list). Raises [Invalid_argument] if [njobs < 0] or [nworkers < 1]. *)
 
 exception Job_failed of { job : int; exn : exn }
 (** Raised by {!map} after all workers have joined, carrying the
@@ -109,12 +93,14 @@ val map_with :
     worker domain [w] (indices [0 .. workers ~njobs ~ndomains - 1]):
 
     - [init w] runs once, {e on the worker domain}, before its first
-      chunk — allocate the arena (reusable machine backing, trace ring,
+      job — allocate the arena (reusable machine backing, trace ring,
       scratch buffers) and snapshot GC baselines here;
     - every job [j] assigned to [w] runs as [f st j] with the state [st]
       that [init] returned — jobs on the same worker see the {e same}
-      [st], in canonical job order within each chunk;
-    - [finish w st] runs once after the worker's last chunk, still on the
+      [st], in canonical job order; worker [w] runs the [w]-th range of
+      {!ranges}, so writes made in job order through [st] are in
+      canonical order within the worker;
+    - [finish w st] runs once after the worker's last job, still on the
       worker domain, {e even when jobs raised} (job exceptions are
       confined to their result slots) — close spill channels and publish
       GC deltas here.

@@ -29,6 +29,8 @@ let rec to_buffer buf = function
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
+      (* JSON has no literal for nan or the infinities. *)
+      if not (Float.is_finite f) then invalid_arg "Json.to_buffer: non-finite float";
       (* %.17g survives a round trip; trim the common integral case. *)
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.1f" f)
@@ -90,6 +92,20 @@ let literal c word value =
   end
   else fail c (Printf.sprintf "expected %s" word)
 
+(* The four hex digits of a \u escape, as a UTF-16 code unit. *)
+let hex4 c =
+  if c.pos + 4 > String.length c.src then fail c "truncated \\u escape";
+  let digit i =
+    match c.src.[c.pos + i] with
+    | '0' .. '9' as d -> Char.code d - Char.code '0'
+    | 'a' .. 'f' as d -> Char.code d - Char.code 'a' + 10
+    | 'A' .. 'F' as d -> Char.code d - Char.code 'A' + 10
+    | _ -> fail c "bad \\u escape"
+  in
+  let v = (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3 in
+  c.pos <- c.pos + 4;
+  v
+
 let parse_string c =
   expect c '"';
   let buf = Buffer.create 16 in
@@ -110,12 +126,21 @@ let parse_string c =
         | Some 'f' -> Buffer.add_char buf '\012'; advance c; loop ()
         | Some 'u' ->
             advance c;
-            if c.pos + 4 > String.length c.src then fail c "truncated \\u escape";
-            let code = int_of_string ("0x" ^ String.sub c.src c.pos 4) in
-            c.pos <- c.pos + 4;
-            (* Codepoints beyond one byte only appear in our own escapes for
-               control characters, so a byte is enough here. *)
-            Buffer.add_char buf (Char.chr (code land 0xff));
+            let cp = hex4 c in
+            let cp =
+              if cp >= 0xdc00 && cp <= 0xdfff then fail c "lone low surrogate"
+              else if cp >= 0xd800 && cp <= 0xdbff then begin
+                (* A high surrogate must pair with an escaped low one. *)
+                if not (c.pos + 2 <= String.length c.src && String.sub c.src c.pos 2 = "\\u")
+                then fail c "lone high surrogate";
+                c.pos <- c.pos + 2;
+                let lo = hex4 c in
+                if lo < 0xdc00 || lo > 0xdfff then fail c "lone high surrogate";
+                0x10000 + ((cp - 0xd800) lsl 10) + (lo - 0xdc00)
+              end
+              else cp
+            in
+            Buffer.add_utf_8_uchar buf (Uchar.of_int cp);
             loop ()
         | _ -> fail c "bad escape")
     | Some ch ->
@@ -139,8 +164,8 @@ let parse_number c =
   | Some i -> Int i
   | None -> (
       match float_of_string_opt s with
-      | Some f -> Float f
-      | None -> fail c (Printf.sprintf "bad number %S" s))
+      | Some f when Float.is_finite f -> Float f
+      | _ -> fail c (Printf.sprintf "bad number %S" s))
 
 let rec parse_value c =
   skip_ws c;

@@ -20,11 +20,17 @@ val to_string : t -> string
 (** Compact rendering, deterministic field order. *)
 
 val to_buffer : Buffer.t -> t -> unit
+(** Appends the compact rendering to the buffer. Raises
+    [Invalid_argument] on a non-finite [Float] (nan or an infinity),
+    which has no JSON literal; {!to_string} inherits this. *)
 
 exception Parse_error of string
 
 val parse : string -> t
-(** Raises {!Parse_error} on malformed input or trailing garbage. *)
+(** Raises {!Parse_error}, and no other exception, on malformed input or
+    trailing garbage. [\u] escapes take exactly four hex digits and
+    decode to UTF-8, surrogate pairs included; a lone surrogate is
+    malformed. A number that overflows to an infinity is malformed. *)
 
 val member : string -> t -> t option
 (** [member k (Obj ...)] is the value bound to [k], if any; [None] on

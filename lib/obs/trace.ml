@@ -121,12 +121,6 @@ let ring_iter (r : ring) g =
     g r.buf.((start + i) mod r.capacity)
   done
 
-let capture ?(capacity = default_capacity) ?clock f =
-  if capacity <= 0 then invalid_arg "Trace.capture: capacity must be positive";
-  let r = ring ~capacity () in
-  let result = record_into r ?clock f in
-  (result, ring_entries r)
-
 (* --- export ------------------------------------------------------------ *)
 
 let event_name = function

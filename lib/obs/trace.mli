@@ -9,7 +9,7 @@
 
     Events are recorded into a {!ring}: once [capacity] events have been
     recorded the oldest are overwritten and counted in {!ring_dropped}.
-    A domain records only while {!record_into} (or {!capture}) runs; the
+    A domain records only while {!record_into} runs; the
     disabled path is one domain-local load — emit sites guard with
     [if Trace.enabled () then Trace.emit ...] so no event is allocated
     when tracing is off.
@@ -21,10 +21,10 @@
     function in this interface reads or writes only the calling domain's
     state. Fleet shards ([Fidelius_fleet.Pool]) therefore trace
     concurrently without locks and without perturbing one another — a
-    shard records with {!capture} and returns its entries to the caller,
-    which merges them in canonical shard order. Entries themselves are
-    immutable and may be handed freely across domains; what must not be
-    shared is a live recording. A freshly spawned domain starts with
+    worker records each job into its own {!ring} with {!record_into} and
+    serializes the entries before the next job reuses the ring. Entries
+    themselves are immutable and may be handed freely across domains;
+    what must not be shared is a live recording. A freshly spawned domain starts with
     tracing disabled regardless of the spawning domain's state. *)
 
 type event =
@@ -72,34 +72,19 @@ val emit : event -> unit
     disabled). Timestamped with the installed clock, tagged with the
     current scope tag (see {!set_scope}). *)
 
-val capture : ?capacity:int -> ?clock:(unit -> int) -> (unit -> 'a) -> 'a * entry list
-(** [capture f] runs [f] under a fresh, enabled, domain-local recording
-    and returns [f]'s result together with everything it emitted (oldest
-    first). The previous recording — whatever the domain had active,
-    enabled or not — is saved and restored afterwards, even on
-    exceptions, so captures nest and never leak state. This is the
-    per-shard recording primitive of the fleet runner: each shard
-    captures its own entries and the caller merges them in canonical
-    order. [capacity] defaults to 65536; [clock] defaults to constant 0
-    until [f] installs one with {!set_clock}. Raises [Invalid_argument]
-    if [capacity <= 0]. *)
+(** {2 Recording into rings}
 
-(** {2 Reusable rings (per-worker arenas)}
-
-    {!capture} allocates a fresh ring per call; a fleet worker that runs
-    hundreds of VM jobs back-to-back would churn one [capacity]-slot
-    array (plus one entry list) per job through the major heap — exactly
-    the allocation pattern that forces OCaml 5's stop-the-world GC
-    rendezvous across domains and flattens the fleet curve. A {!ring} is
-    the reusable alternative: allocate it once per worker, then
-    {!record_into} it for each job. The slot array survives across jobs;
-    only counters and clock are reset. *)
+    A {!ring} plus {!record_into} is the only way to record. A fleet
+    worker allocates one ring and records each job into it: a fresh
+    [capacity]-slot array per job would churn through the major heap —
+    exactly the allocation pattern that forces OCaml 5's stop-the-world
+    GC rendezvous across domains and flattens the fleet curve. The slot
+    array survives across jobs; only counters and clock are reset. *)
 
 type ring
-(** A reusable recording: the same state {!capture} builds internally,
-    not yet installed on any domain. Owned by exactly one worker at a
-    time — installing one ring on two domains concurrently is a data
-    race, same rule as any live recording. *)
+(** A reusable recording, not yet installed on any domain. Owned by
+    exactly one worker at a time — installing one ring on two domains
+    concurrently is a data race, same rule as any live recording. *)
 
 val ring : ?capacity:int -> unit -> ring
 (** A fresh, empty, disabled ring. [capacity] defaults to 65536 entries
@@ -110,17 +95,20 @@ val ring_capacity : ring -> int
 (** The capacity the ring was created with. *)
 
 val record_into : ring -> ?clock:(unit -> int) -> (unit -> 'a) -> 'a
-(** [record_into r f] is {!capture} into a caller-owned ring: resets [r]
-    (counters and clock — {e not} the slot array), enables it,
-    installs it as the calling domain's recording, runs [f], and restores
-    the previous recording afterwards — even on exceptions, which
-    propagate unchanged. Entries stay in [r] for the caller to read
-    ({!ring_entries}/{!ring_iter}) until the next [record_into] on it.
+(** [record_into r f] runs [f] recording into the caller-owned ring [r]:
+    it resets [r] (counters and clock — {e not} the slot array), enables
+    it, installs it as the calling domain's recording, runs [f], and
+    restores the previous recording afterwards — whatever the domain had
+    active, enabled or not — even on exceptions, which propagate
+    unchanged. Recordings therefore nest and never leak state. Entries
+    stay in [r] for the caller to read ({!ring_entries}/{!ring_iter})
+    until the next [record_into] on it. [clock] defaults to constant 0
+    until [f] installs one with {!set_clock}.
 
     Determinism: because the reset clears everything a previous job could
     have left behind (clock included — a stale neighbour clock never
     stamps the next job's events), the entries recorded for [f] are
-    byte-identical to what [capture f] would have returned; the qcheck
+    byte-identical to what a fresh ring would have recorded; the qcheck
     arena-reuse property in [test/test_fleet.ml] pins this. Stale
     entries from earlier runs beyond the new run's count are never
     observable: both readers bound themselves by the current counters. *)
@@ -161,8 +149,7 @@ val event_args : event -> (string * Json.t) list
     deterministic, so exports are byte-stable. *)
 
 val jsonl_of : entry list -> string
-(** Render any entry list (a ring's {!ring_entries}, a fleet shard's
-    capture) as JSONL, one
+(** Render any entry list (e.g. a ring's {!ring_entries}) as JSONL, one
     [{"seq":N,"ts":N,"scope":S,"name":S,"args":{...}}] object per line. *)
 
 val chrome_event : ?pid:int -> ?tid:int -> entry -> Json.t

@@ -45,7 +45,7 @@ let sample_exits = 32
 
 let boot_stack ?mem profile config seed =
   let machine = Hw.Machine.create ?mem ~seed () in
-  (* If this domain is recording a trace (fleet shards capture one per
+  (* If this domain is recording a trace (fleet workers record one per
      VM), timestamp it in this machine's simulated cycles — never wall
      time — so the trace bytes depend only on the seed. *)
   if Fidelius_obs.Trace.enabled () then

@@ -24,15 +24,16 @@
     {2 Arenas and streaming}
 
     {!run} is the in-memory path: every VM allocates its own machine and
-    capture, and every VM's trace entries stay live until the caller
-    drops [t] — fine for tests and small fleets, quadratic pain at 1,000
-    VMs. {!run_stream} is the fleet-scale path: worker domains own
-    reusable {!arena}s (DRAM backing, trace ring, serialization buffer)
-    and each VM's rows/trace bytes are spilled to per-chunk files as the
-    job completes, then concatenated in canonical order — the artifacts
-    are byte-identical to {!run}'s at every domain count (pinned in
-    [test/test_fleet.ml]) while peak memory stays bounded by
-    [workers × arena], not [vms × trace]. *)
+    ring, and every VM's trace entries stay live until the caller drops
+    [t] — fine for tests and small fleets, quadratic pain at 1,000 VMs.
+    {!run_stream} is the fleet-scale path: worker domains own reusable
+    {!arena}s (DRAM backing, trace ring, serialization buffer), each
+    VM's trace bytes are spilled to its worker's one spill file as the
+    job completes, and the spills are concatenated in worker order,
+    which is canonical job order — the artifacts are byte-identical to
+    {!run}'s at every domain count (pinned in [test/test_fleet.ml])
+    while peak memory stays bounded by [workers × arena] plus the row
+    list, not [vms × trace]. *)
 
 type vm_row = {
   vm : int;                        (** canonical job index, [0 .. vms-1] *)
@@ -104,24 +105,25 @@ val run : ?domains:int -> ?vms:int -> unit -> t
 
 val run_stream :
   ?domains:int -> ?vms:int -> csv:string -> trace:string -> unit -> summary
-(** [run_stream ~csv ~trace ()] is {!run} with per-domain arenas and
-    streaming shard output: worker [w] reuses one {!arena} for all its
-    jobs, writes each finished VM's CSV row and serialized Chrome events
-    to per-chunk spill files (in a [<trace>.spill] directory, removed on
-    success), and the final merge concatenates the spills in canonical
-    chunk order into [csv] and [trace] — byte-identical to what
-    [Merge.csv]/[Merge.chrome_of_shards] over {!run}'s results would
-    produce (including the trailing newline on [trace]), at every domain
-    count. Peak live heap is [workers × arena] plus the (tiny) row list;
-    no VM's trace entries survive its own job.
+(** [run_stream ~csv ~trace ()] is {!run} with per-worker arenas and a
+    streamed trace: worker [w] reuses one {!arena} for all its jobs and
+    appends each finished VM's serialized Chrome events to its one spill
+    file (in a [<trace>.spill] directory, removed on success), opened in
+    [Pool.map_with]'s [init] and closed in its [finish]. After the pool
+    joins, [csv] is written from the returned rows with the rendering
+    {!csv} uses, and [trace] is the spills concatenated in worker order
+    — byte-identical to what {!csv}/{!chrome} over {!run}'s results
+    would produce (including the trailing newline on [trace]), at every
+    domain count. Peak live heap is [workers × arena] plus the (tiny)
+    row list; no VM's trace entries survive its own job.
 
     The returned {!summary} carries the canonical rows plus one
     {!gc_stats} per worker — the [--gc-stats] diagnosis data.
 
     Raises [Invalid_argument] if [vms < 0] or [domains < 1], and
     [Pool.Job_failed] like {!run}; on failure the spill directory may be
-    left behind (it is truncated and reused by the next call). Not
-    re-entrant on the same output paths: two concurrent streams would
+    left behind (its files are truncated and reused by the next call).
+    Not re-entrant on the same output paths: two concurrent streams would
     race on the spill directory. *)
 
 val csv_header : string

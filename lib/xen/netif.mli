@@ -32,27 +32,31 @@ val connect :
     per wire. *)
 
 val send : endpoint -> bytes -> (unit, string) result
-(** Transmit one frame (at most a page): front-end copies it into the
-    shared buffer, the back-end forwards it onto the wire toward the peer.
-    Charges per-frame costs. *)
+(** [send ep f] is [send_batch ep [f]]: transmit one frame (at most a
+    page minus its 4-byte length prefix) through the shared buffer
+    toward the peer, for one event-channel charge plus one copy. *)
 
 val recv : endpoint -> (bytes option, string) result
-(** Take the next queued inbound frame, copied in through the shared
-    buffer. [None] when the queue is empty. *)
+(** [recv ep] is [recv_batch ~max:1 ep] as an option: the next queued
+    inbound frame, copied in through the shared buffer; [None] when the
+    queue is empty. Fails closed like {!recv_batch}. *)
 
 val send_batch : endpoint -> bytes list -> (unit, string) result
 (** Transmit N frames with one event-channel notification: the frames are
     staged back-to-back (length-prefixed) in the shared page, written and
     forwarded in one doorbell. Costs one event-channel charge plus N copy
-    charges — at N = 1 exactly what {!send} charges. Fails closed (before
-    charging or staging) when the batch exceeds the page or would overrun
-    the wire queue, and on any corrupt length prefix. *)
+    charges. Fails closed (before charging or staging) when the batch
+    exceeds the page or would overrun the wire queue, and on any corrupt
+    length prefix. *)
 
 val recv_batch : ?max:int -> endpoint -> (bytes list, string) result
 (** Take up to [max] (default: all) queued inbound frames in one
     notification, as many as fit the shared page; the remainder stays
     queued. [[]] when nothing is pending. Same cost shape as
-    {!send_batch}. *)
+    {!send_batch}. A queued frame that alone exceeds the shared page
+    (dom0 can grow frames with {!tamper}) can never be delivered: when
+    it reaches the head of the queue it is dropped and the call returns
+    [Error] without charging, so later frames still get through. *)
 
 val pending : endpoint -> int
 

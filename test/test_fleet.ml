@@ -1,4 +1,4 @@
-(* Tests for the fleet runner: the chunked-scheduling partition property,
+(* Tests for the fleet runner: the job-range partition property,
    pool edge cases (empty job list, more domains than jobs, failing jobs),
    per-shard trace isolation, and the determinism contract — the fleet
    benchmark's merged artifacts and the fault matrix's verdicts must be
@@ -12,81 +12,73 @@ module W = Fidelius_workloads
 module Matrix = Fidelius_inject_matrix.Matrix
 module Site = Fidelius_inject.Site
 
-(* --- chunks: the static schedule ----------------------------------------- *)
+(* --- ranges: the static schedule ----------------------------------------- *)
 
-let test_chunks_partition =
-  QCheck.Test.make ~count:200 ~name:"chunks partition 0..njobs-1 evenly"
+(* [rs] covers 0..njobs-1 with contiguous, in-order, non-empty ranges
+   whose lengths differ by at most one. *)
+let balanced_cover ~njobs rs =
+  let covered = List.concat_map (fun (s, l) -> List.init l (fun i -> s + i)) rs in
+  let lens = List.map snd rs in
+  let lo = List.fold_left min max_int lens and hi = List.fold_left max 0 lens in
+  covered = List.init njobs (fun j -> j)
+  && (njobs = 0 || (lo > 0 && hi - lo <= 1))
+
+let test_ranges_partition =
+  QCheck.Test.make ~count:200 ~name:"ranges partition 0..njobs-1 evenly"
     QCheck.(pair (int_bound 200) (int_range 1 32))
-    (fun (njobs, ndomains) ->
-      let cs = Pool.chunks ~njobs ~ndomains in
-      let covered = List.concat_map (fun (s, l) -> List.init l (fun i -> s + i)) cs in
-      let lens = List.map snd cs in
-      let lo = List.fold_left min max_int lens and hi = List.fold_left max 0 lens in
-      (* contiguous in-order cover of the job range... *)
-      covered = List.init njobs (fun j -> j)
-      (* ...with chunk sizes differing by at most one... *)
-      && (njobs = 0 || hi - lo <= 1)
-      (* ...and never more domains than jobs. *)
-      && List.length cs <= max njobs 1)
+    (fun (njobs, nworkers) ->
+      let rs = Pool.ranges ~njobs ~nworkers in
+      (* ...and never more workers than jobs. *)
+      balanced_cover ~njobs rs && List.length rs = min nworkers (max njobs 1))
 
-let test_chunks_pure () =
+let test_ranges_pure () =
   Alcotest.(check bool) "same inputs, same schedule" true
-    (Pool.chunks ~njobs:17 ~ndomains:4 = Pool.chunks ~njobs:17 ~ndomains:4);
-  Alcotest.(check (list (pair int int))) "13 jobs over 4 domains"
+    (Pool.ranges ~njobs:17 ~nworkers:4 = Pool.ranges ~njobs:17 ~nworkers:4);
+  Alcotest.(check (list (pair int int))) "13 jobs over 4 workers"
     [ (0, 4); (4, 3); (7, 3); (10, 3) ]
-    (Pool.chunks ~njobs:13 ~ndomains:4);
-  Alcotest.check_raises "njobs < 0 rejected"
-    (Invalid_argument "Pool.chunks: njobs must be >= 0") (fun () ->
-      ignore (Pool.chunks ~njobs:(-1) ~ndomains:2));
-  Alcotest.check_raises "ndomains < 1 rejected"
-    (Invalid_argument "Pool.chunks: ndomains must be >= 1") (fun () ->
-      ignore (Pool.chunks ~njobs:4 ~ndomains:0))
+    (Pool.ranges ~njobs:13 ~nworkers:4);
+  Alcotest.(check (list (pair int int))) "no jobs, one empty range" [ (0, 0) ]
+    (Pool.ranges ~njobs:0 ~nworkers:3);
+  Alcotest.(check int) "workers: capped by domains, jobs and cores"
+    (min (Pool.recommended_domains ()) 4)
+    (Pool.workers ~njobs:10 ~ndomains:4);
+  Alcotest.(check int) "workers: one for an empty job list" 1 (Pool.workers ~njobs:0 ~ndomains:3);
+  Alcotest.check_raises "ranges: njobs < 0 rejected"
+    (Invalid_argument "Pool.ranges: njobs must be >= 0") (fun () ->
+      ignore (Pool.ranges ~njobs:(-1) ~nworkers:2));
+  Alcotest.check_raises "ranges: nworkers < 1 rejected"
+    (Invalid_argument "Pool.ranges: nworkers must be >= 1") (fun () ->
+      ignore (Pool.ranges ~njobs:4 ~nworkers:0));
+  Alcotest.check_raises "workers: ndomains < 1 rejected"
+    (Invalid_argument "Pool.workers: ndomains must be >= 1") (fun () ->
+      ignore (Pool.workers ~njobs:4 ~ndomains:0))
 
-(* The chunk -> worker deal for the 1-, 2-, 3-, 4- and 8-worker pools, on
-   any host: every worker owns a non-empty, contiguous, in-order block of
-   chunks (block sizes within one of each other), so the jobs it runs form
-   one contiguous range. *)
-let test_chunk_worker_contiguous () =
+(* The split on a 1-, 2-, 3-, 4- and 8-core host, whatever this host has:
+   [Pool.workers] caps the requested domains at the core count, and
+   [ranges] gives each worker one balanced, contiguous job range. A
+   request within the core count gets one worker per requested domain. *)
+let test_ranges_per_core_count () =
   List.iter
-    (fun nworkers ->
+    (fun cores ->
       List.iter
         (fun (njobs, ndomains) ->
-          let cs = Pool.chunks ~njobs ~ndomains in
-          let nchunks = List.length cs in
-          let owners = List.init nchunks (Pool.chunk_worker ~nchunks ~nworkers) in
-          let used = min nworkers nchunks in
+          let nworkers = min cores (min ndomains (max njobs 1)) in
+          let rs = Pool.ranges ~njobs ~nworkers in
           let label what =
-            Printf.sprintf "%d workers, %d jobs, %d domains: %s" nworkers njobs ndomains what
+            Printf.sprintf "%d cores, %d jobs, %d domains: %s" cores njobs ndomains what
           in
-          let block w = List.length (List.filter (( = ) w) owners) in
-          let sizes = List.init used block in
-          Alcotest.(check (list int)) (label "owners in ascending order")
-            (List.sort compare owners) owners;
-          Alcotest.(check bool) (label "every worker owns a block") true
-            (List.for_all (fun n -> n > 0) sizes
-            && List.for_all (fun w -> w >= 0 && w < used) owners);
-          Alcotest.(check bool) (label "block sizes differ by at most one") true
-            (List.fold_left max 0 sizes - List.fold_left min max_int sizes <= 1);
-          let jobs w =
-            List.concat
-              (List.mapi
-                 (fun i (s, l) -> if List.nth owners i = w then List.init l (( + ) s) else [])
-                 cs)
-          in
-          List.iter
-            (fun w ->
-              let js = jobs w in
-              Alcotest.(check (list int)) (label (Printf.sprintf "worker %d job range" w))
-                (List.init (List.length js) (( + ) (List.hd js))) js)
-            (List.init used Fun.id))
-        [ (1, 1); (2, 2); (3, 8); (4, 4); (5, 3); (7, 7); (8, 8); (13, 4); (17, 16);
+          Alcotest.(check bool) (label "balanced contiguous cover") true
+            (balanced_cover ~njobs rs);
+          Alcotest.(check int) (label "one range per worker") nworkers (List.length rs);
+          if ndomains <= cores then
+            Alcotest.(check (list (pair int int))) (label "one worker per requested domain")
+              (Pool.ranges ~njobs ~nworkers:ndomains) rs)
+        [ (1, 1); (2, 2); (3, 8); (4, 4); (5, 3); (7, 7); (8, 8); (10, 4); (13, 4); (17, 16);
           (32, 32); (100, 7) ])
     [ 1; 2; 3; 4; 8 ];
-  Alcotest.(check (list int)) "5 chunks over 2 workers" [ 0; 0; 0; 1; 1 ]
-    (List.init 5 (Pool.chunk_worker ~nchunks:5 ~nworkers:2));
-  Alcotest.check_raises "chunk out of range"
-    (Invalid_argument "Pool.chunk_worker: chunk out of range") (fun () ->
-      ignore (Pool.chunk_worker ~nchunks:3 ~nworkers:2 3))
+  Alcotest.(check (list (pair int int))) "10 jobs at --domains 4 on 2 cores split 5/5"
+    [ (0, 5); (5, 5) ]
+    (Pool.ranges ~njobs:10 ~nworkers:(min 2 4))
 
 (* --- map: order, edge cases, failure ------------------------------------- *)
 
@@ -156,12 +148,12 @@ let test_map_with_init_finish_once_per_worker () =
   Alcotest.(check (list int)) "jobs in canonical order"
     (List.init njobs (fun j -> j))
     (List.map snd results);
-  (* A worker's jobs are its chunk: contiguous, so each worker index must
+  (* A worker's jobs are its range: contiguous, so each worker index must
      tag a contiguous run of job indices. *)
-  let chunk_workers = List.map fst results in
+  let job_workers = List.map fst results in
   let deduped =
     List.fold_left (fun acc w -> match acc with x :: _ when x = w -> acc | _ -> w :: acc) []
-      chunk_workers
+      job_workers
   in
   Alcotest.(check int) "each worker owns one contiguous job range" nworkers
     (List.length deduped)
@@ -177,7 +169,7 @@ let test_map_with_shared_state_sequential () =
   List.iter
     (fun (j, nth) ->
       Alcotest.(check bool)
-        (Printf.sprintf "job %d is its worker's %dth (1-based, within chunk)" j nth)
+        (Printf.sprintf "job %d is its worker's %dth (1-based)" j nth)
         true
         (nth >= 1 && nth <= 10))
     rows;
@@ -209,7 +201,7 @@ let test_map_with_validates () =
 
 let test_shard_trace_isolation () =
   (* A recording on the caller's domain must be invisible to pool jobs
-     (they start from pristine DLS state), and their captures must not
+     (they start from pristine DLS state), and their recordings must not
      perturb it. *)
   let outer = Trace.ring () in
   let inside =
@@ -217,24 +209,20 @@ let test_shard_trace_isolation () =
         Trace.emit (Trace.Mark "outer");
         Pool.map ~domains:2 ~njobs:4 (fun j ->
             let enabled_at_entry = Trace.enabled () in
-            let (), entries = Trace.capture (fun () -> Trace.emit (Trace.Mark "inner")) in
-            (enabled_at_entry, List.length entries, j)))
+            let ring = Trace.ring () in
+            Trace.record_into ring (fun () -> Trace.emit (Trace.Mark "inner"));
+            (enabled_at_entry, Trace.ring_length ring, j)))
   in
   List.iter
     (fun (enabled_at_entry, n, j) ->
       Alcotest.(check bool)
         (Printf.sprintf "job %d starts with tracing off" j)
         false enabled_at_entry;
-      Alcotest.(check int) (Printf.sprintf "job %d captured its own event" j) 1 n)
+      Alcotest.(check int) (Printf.sprintf "job %d recorded its own event" j) 1 n)
     inside;
   Alcotest.(check int) "outer recording untouched by shards" 1 (Trace.ring_length outer)
 
 (* --- merge helpers -------------------------------------------------------- *)
-
-let test_sum_counts () =
-  Alcotest.(check (list (pair string int))) "pointwise sum, canonical order"
-    [ ("dram", 12); ("gate", 5); ("tlb", 5) ]
-    (Merge.sum_counts [ [ ("dram", 4); ("tlb", 5) ]; [ ("dram", 8); ("gate", 5) ] ])
 
 let test_chrome_of_shards_shape () =
   let doc = Merge.chrome_of_shards [ ("vm0", []); ("vm1", []) ] in
@@ -294,11 +282,12 @@ let test_chrome_streaming_envelope () =
      byte-identical to the in-memory Json.to_string rendering — this is
      what makes spill-file concatenation a legal merge. *)
   let mk label n =
-    ( label,
-      snd (Trace.capture (fun () ->
-               for i = 0 to n - 1 do
-                 Trace.emit (Trace.Mark (Printf.sprintf "%s-%d" label i))
-               done)) )
+    let ring = Trace.ring () in
+    Trace.record_into ring (fun () ->
+        for i = 0 to n - 1 do
+          Trace.emit (Trace.Mark (Printf.sprintf "%s-%d" label i))
+        done);
+    (label, Trace.ring_entries ring)
   in
   let shards = [ mk "vm0:a" 3; mk "vm1:b" 0; mk "vm2:c" 2 ] in
   let in_memory = Json.to_string (Merge.chrome_of_shards shards) in
@@ -343,7 +332,7 @@ let test_concat_spills () =
 
 (* The arena-reuse property, at the pool/ring level: a run whose workers
    reuse one ring + one scratch buffer across all their jobs must produce
-   bytes identical to a run that captures into fresh state per job, for
+   bytes identical to a run that records into a fresh ring per job, for
    random (njobs, ndomains, seed). The job itself is seed-dependent so
    reuse bugs (stale counters, stale clock, stale scratch) have plenty of
    surface to corrupt. *)
@@ -368,8 +357,9 @@ let test_arena_reuse_byte_identical =
       in
       let fresh =
         Pool.map ~domains:ndomains ~njobs (fun j ->
-            let n, entries = Trace.capture (fun () -> job_events j) in
-            (n, serialize (Buffer.create 64) j entries))
+            let ring = Trace.ring () in
+            let n = Trace.record_into ring (fun () -> job_events j) in
+            (n, serialize (Buffer.create 64) j (Trace.ring_entries ring)))
       in
       let reused =
         Pool.map_with ~domains:ndomains ~njobs
@@ -404,7 +394,7 @@ let test_stream_matches_run =
           && read trc_f = Json.to_string (W.Fleetbench.chrome t) ^ "\n"))
 
 let test_fleetbench_domain_count_invariance () =
-  (* 4 VMs on 3 domains chunks unevenly (2/1/1). *)
+  (* 4 VMs on 3 domains split unevenly: 2/1/1 on 3+ cores, 2/2 on 2. *)
   let a = W.Fleetbench.run ~domains:1 ~vms:4 () in
   let b = W.Fleetbench.run ~domains:3 ~vms:4 () in
   Alcotest.(check string) "per-VM CSV byte-identical across domain counts"
@@ -449,25 +439,28 @@ let test_stream_heap_bounded () =
           growth)
 
 (* Asking for more domains must not make the run slower (the scaling
-   inversion the worker-domain cap in Pool fixed). Generous slack (d2 may
-   be up to 1/0.7 = 1.43x slower) because a shared host is noisy; the real
-   curve is recorded by `bench fleet`. *)
+   inversion the worker-domain cap in Pool fixed). Times [run_stream], the
+   path `bench fleet`, `fleet-scale` and perfbench time. Generous slack
+   (d2 may be up to 1/0.7 = 1.43x slower) because a shared host is noisy;
+   the real curve is recorded by `bench fleet`. *)
 let test_no_scaling_inversion () =
-  ignore (W.Fleetbench.run ~domains:2 ~vms:2 ());
-  let timed d =
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    ignore (W.Fleetbench.run ~domains:d ~vms:8 ());
-    Unix.gettimeofday () -. t0
-  in
-  let t1 = timed 1 in
-  let t2 = timed 2 in
-  let rate1 = 8.0 /. t1 and rate2 = 8.0 /. t2 in
-  if rate2 < 0.7 *. rate1 then
-    Alcotest.failf
-      "scaling inversion: domains=2 ran at %.1f VMs/s vs %.1f VMs/s for domains=1 (below \
-       the 0.7x slack)"
-      rate2 rate1
+  with_artifacts (fun csv trace ->
+      let stream d vms = ignore (W.Fleetbench.run_stream ~domains:d ~vms ~csv ~trace ()) in
+      stream 2 2;
+      let timed d =
+        Gc.compact ();
+        let t0 = Unix.gettimeofday () in
+        stream d 8;
+        Unix.gettimeofday () -. t0
+      in
+      let t1 = timed 1 in
+      let t2 = timed 2 in
+      let rate1 = 8.0 /. t1 and rate2 = 8.0 /. t2 in
+      if rate2 < 0.7 *. rate1 then
+        Alcotest.failf
+          "scaling inversion: domains=2 ran at %.1f VMs/s vs %.1f VMs/s for domains=1 \
+           (below the 0.7x slack)"
+          rate2 rate1)
 
 (* Each worker's gc_stats must count that worker's own allocation only:
    summed over workers, minor_words cannot exceed what the whole process
@@ -506,10 +499,10 @@ let test_matrix_domain_count_invariance () =
 
 let () =
   Alcotest.run "fleet"
-    [ ( "chunks",
-        [ QCheck_alcotest.to_alcotest test_chunks_partition;
-          Alcotest.test_case "pure and validated" `Quick test_chunks_pure;
-          Alcotest.test_case "contiguous worker blocks" `Quick test_chunk_worker_contiguous ] );
+    [ ( "ranges",
+        [ QCheck_alcotest.to_alcotest test_ranges_partition;
+          Alcotest.test_case "pure and validated" `Quick test_ranges_pure;
+          Alcotest.test_case "split on 1-8 cores" `Quick test_ranges_per_core_count ] );
       ( "pool",
         [ Alcotest.test_case "canonical order" `Quick test_map_canonical_order;
           Alcotest.test_case "empty job list" `Quick test_map_empty;
@@ -532,8 +525,7 @@ let () =
             test_ring_wraparound_and_reuse;
           QCheck_alcotest.to_alcotest test_arena_reuse_byte_identical ] );
       ( "merge",
-        [ Alcotest.test_case "sum_counts" `Quick test_sum_counts;
-          Alcotest.test_case "chrome shards" `Quick test_chrome_of_shards_shape;
+        [ Alcotest.test_case "chrome shards" `Quick test_chrome_of_shards_shape;
           Alcotest.test_case "streaming envelope" `Quick test_chrome_streaming_envelope;
           Alcotest.test_case "concat_spills" `Quick test_concat_spills ] );
       ( "determinism",

@@ -206,6 +206,28 @@ let test_netif_backpressure () =
     (Invalid_argument "Netif.create_wire: capacity must be >= 1") (fun () ->
       ignore (Xen.Netif.create_wire ~capacity:0 ()))
 
+(* dom0 can grow a queued frame past the shared page with [tamper]. The
+   receiver must drop it with a typed error, charge nothing, and keep
+   delivering the frames queued behind it — on the single-frame and the
+   batched path alike. *)
+let test_netif_oversized_frame_fails_closed () =
+  let m, _, wire, ea, eb = net_env () in
+  let grow f = if Bytes.length f = 1 then Bytes.make Hw.Addr.page_size 'G' else f in
+  List.iter
+    (fun (what, recv_one) ->
+      ok (Xen.Netif.send ea (Bytes.of_string "x"));
+      ok (Xen.Netif.send ea (Bytes.of_string "after"));
+      Xen.Netif.tamper wire grow;
+      let before = Hw.Cost.total m.Hw.Machine.ledger in
+      Alcotest.(check bool) (what ^ ": grown frame refused") true (Result.is_error (recv_one ()));
+      Alcotest.(check int) (what ^ ": refusal charges nothing") before
+        (Hw.Cost.total m.Hw.Machine.ledger);
+      Alcotest.(check int) (what ^ ": grown frame dropped") 1 (Xen.Netif.pending eb);
+      Alcotest.(check (option string)) (what ^ ": next frame still delivered") (Some "after")
+        (Option.map Bytes.to_string (ok (Xen.Netif.recv eb))))
+    [ ("recv", fun () -> Result.map ignore (Xen.Netif.recv eb));
+      ("recv_batch", fun () -> Result.map ignore (Xen.Netif.recv_batch eb)) ]
+
 let contains needle hay =
   let s = Bytes.to_string hay in
   let n = String.length s and m = String.length needle in
@@ -259,5 +281,7 @@ let () =
           Alcotest.test_case "batch roundtrip" `Quick test_netif_batch_roundtrip;
           Alcotest.test_case "batch cost parity" `Quick test_netif_batch_cost_parity;
           Alcotest.test_case "backpressure" `Quick test_netif_backpressure;
+          Alcotest.test_case "oversized frame fails closed" `Quick
+            test_netif_oversized_frame_fails_closed;
           Alcotest.test_case "dom0 snoops plaintext" `Quick test_netif_dom0_snoops_plaintext ] );
       ("tls-over-pv", [ Alcotest.test_case "end to end" `Quick test_tls_over_netif ]) ]

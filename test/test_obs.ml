@@ -348,7 +348,11 @@ let test_json_values () =
       ("-42", Json.Int (-42));
       ("2.5", Json.Float 2.5);
       ("[1,[2],{}]", Json.Arr [ Json.Int 1; Json.Arr [ Json.Int 2 ]; Json.Obj [] ]);
-      ("  {\"a\" : 1}  ", Json.Obj [ ("a", Json.Int 1) ]) ]
+      ("  {\"a\" : 1}  ", Json.Obj [ ("a", Json.Int 1) ]);
+      ("\"\\u0041\\u001f\"", Json.Str "A\x1f");
+      ("\"\\u00e9\\u20AC\"", Json.Str "\xc3\xa9\xe2\x82\xac");
+      ("\"\\ud83d\\ude00\"", Json.Str "\xf0\x9f\x98\x80");
+      ("1e308", Json.Float 1e308) ]
 
 let test_json_rejects () =
   List.iter
@@ -358,7 +362,17 @@ let test_json_rejects () =
            ignore (Json.parse s);
            false
          with Json.Parse_error _ -> true))
-    [ "{"; "[1,]"; "nul"; "\"unterminated"; "1 2"; "" ]
+    [ "{"; "[1,]"; "nul"; "\"unterminated"; "1 2"; ""; "\"\\uZZZZ\""; "\"\\u12\"";
+      "\"\\u1_23\""; "\"\\ud800\""; "\"\\ud800\\u0041\""; "\"\\udc00\""; "1e999";
+      "-1e999" ];
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (Printf.sprintf "%h not printed" f) true
+        (try
+           ignore (Json.to_string (Json.Float f));
+           false
+         with Invalid_argument _ -> true))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
 
 let () =
   Alcotest.run "obs"
