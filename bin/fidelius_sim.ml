@@ -309,11 +309,7 @@ let trace scenario out format seed =
       let content, validation =
         match format with
         | "chrome" ->
-            let c =
-              Obs.Json.to_string
-                (Obs.Trace.chrome_of_ring ~attribution ~total_cycles:total ring)
-              ^ "\n"
-            in
+            let c = Obs.Trace.chrome_of_ring ~attribution ~total_cycles:total ring ^ "\n" in
             (c, validate_chrome c ~total)
         | "jsonl" ->
             let c = Obs.Trace.jsonl_of (Obs.Trace.ring_entries ring) in

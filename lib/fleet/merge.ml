@@ -1,4 +1,3 @@
-module Trace = Fidelius_obs.Trace
 module Json = Fidelius_obs.Json
 
 let process_meta ~pid label =
@@ -18,22 +17,6 @@ let chrome_header = "{\"traceEvents\":["
 
 let chrome_footer ~shards =
   "],\"displayTimeUnit\":\"ns\",\"otherData\":" ^ Json.to_string (chrome_other_data shards) ^ "}"
-
-let chrome_of_shards shards =
-  let process_meta pid label = process_meta ~pid label in
-  let events =
-    List.concat
-      (List.mapi
-         (fun k (label, entries) ->
-           let pid = k + 1 in
-           process_meta pid label :: List.map (Trace.chrome_event ~pid) entries)
-         shards)
-  in
-  let counts = List.map (fun (label, entries) -> (label, List.length entries)) shards in
-  Json.Obj
-    [ ("traceEvents", Json.Arr events);
-      ("displayTimeUnit", Json.Str "ns");
-      ("otherData", chrome_other_data counts) ]
 
 (* --- spill files: streaming shard output -------------------------------- *)
 

@@ -9,25 +9,49 @@ type t =
 
 (* --- printing ---------------------------------------------------------- *)
 
-let escape buf s =
+(* Whether [s] from byte [i] on holds a quote, a backslash or a control
+   byte below 0x20; everything else (0x7f and multi-byte UTF-8 included)
+   is copied verbatim. Top-level, so the scan allocates no closure. *)
+let rec needs_escape s i =
+  i < String.length s
+  &&
+  let c = String.unsafe_get s i in
+  c = '"' || c = '\\' || Char.code c < 0x20 || needs_escape s (i + 1)
+
+let add_str buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if not (needs_escape s 0) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
+
+(* Digits of [n <= 0], most significant first. Working on the negative
+   magnitude covers [min_int], whose negation does not exist. *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f ->
       (* JSON has no literal for nan or the infinities. *)
       if not (Float.is_finite f) then invalid_arg "Json.to_buffer: non-finite float";
@@ -35,7 +59,7 @@ let rec to_buffer buf = function
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.1f" f)
       else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  | Str s -> escape buf s
+  | Str s -> add_str buf s
   | Arr items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -49,7 +73,7 @@ let rec to_buffer buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          escape buf k;
+          add_str buf k;
           Buffer.add_char buf ':';
           to_buffer buf v)
         fields;

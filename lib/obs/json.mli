@@ -24,6 +24,18 @@ val to_buffer : Buffer.t -> t -> unit
     [Invalid_argument] on a non-finite [Float] (nan or an infinity),
     which has no JSON literal; {!to_string} inherits this. *)
 
+val add_str : Buffer.t -> string -> unit
+(** [add_str buf s] appends exactly what [to_buffer buf (Str s)] does:
+    [s] quoted, with the quote, the backslash and bytes below 0x20
+    escaped and every other byte copied verbatim. A string that needs
+    no escaping is copied with one [Buffer.add_string]. The one escaper
+    of this module; writers that stream JSON without building a tree
+    use it. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int buf i] appends exactly what [to_buffer buf (Int i)] does
+    (the decimal digits of [i], [min_int] included), without allocating. *)
+
 exception Parse_error of string
 
 val parse : string -> t

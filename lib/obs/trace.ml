@@ -156,23 +156,77 @@ let event_args = function
   | Fault { site; hit } -> [ ("site", Json.Str site); ("hit", Json.Int hit) ]
   | Mark label -> [ ("label", Json.Str label) ]
 
-let entry_json e =
-  Json.Obj
-    [ ("seq", Json.Int e.seq);
-      ("ts", Json.Int e.ts);
-      ("scope", Json.Str e.scope);
-      ("name", Json.Str (event_name e.event));
-      ("args", Json.Obj (event_args e.event)) ]
+(* One ["k":v] member of an args object; keys go through the same
+   escaper as values, exactly as [Json.to_buffer] writes them. *)
+let key buf k =
+  Json.add_str buf k;
+  Buffer.add_char buf ':'
+
+let int_arg buf k v =
+  key buf k;
+  Json.add_int buf v
+
+let str_arg buf k v =
+  key buf k;
+  Json.add_str buf v
+
+let bool_arg buf k v =
+  key buf k;
+  Buffer.add_string buf (if v then "true" else "false")
+
+(* The members of [event_args ev], comma-separated and without braces:
+   the body both exporters' ["args"] objects share. Every constructor has
+   at least one member. *)
+let add_args buf = function
+  | Vmrun { domid } -> int_arg buf "domid" domid
+  | Vmexit { domid; reason } ->
+      int_arg buf "domid" domid;
+      Buffer.add_char buf ',';
+      str_arg buf "reason" reason
+  | Npf { domid; gfn } ->
+      int_arg buf "domid" domid;
+      Buffer.add_char buf ',';
+      int_arg buf "gfn" gfn
+  | Hypercall name -> str_arg buf "call" name
+  | Gate n -> int_arg buf "type" n
+  | Shadow_capture reason -> str_arg buf "reason" reason
+  | Shadow_verify { ok } -> bool_arg buf "ok" ok
+  | Fw_cmd name -> str_arg buf "cmd" name
+  | Dram { blocks; encrypted } ->
+      int_arg buf "blocks" blocks;
+      Buffer.add_char buf ',';
+      bool_arg buf "encrypted" encrypted
+  | Walk { space; vfn } ->
+      int_arg buf "space" space;
+      Buffer.add_char buf ',';
+      int_arg buf "vfn" vfn
+  | Tlb_flush { full } -> bool_arg buf "full" full
+  | Pte_write { vfn } -> int_arg buf "vfn" vfn
+  | Fault { site; hit } ->
+      str_arg buf "site" site;
+      Buffer.add_char buf ',';
+      int_arg buf "hit" hit
+  | Mark label -> str_arg buf "label" label
 
 let jsonl_of entries =
   let buf = Buffer.create 4096 in
   List.iter
     (fun e ->
-      Json.to_buffer buf (entry_json e);
-      Buffer.add_char buf '\n')
+      Buffer.add_string buf "{\"seq\":";
+      Json.add_int buf e.seq;
+      Buffer.add_string buf ",\"ts\":";
+      Json.add_int buf e.ts;
+      Buffer.add_string buf ",\"scope\":";
+      Json.add_str buf e.scope;
+      Buffer.add_string buf ",\"name\":";
+      Json.add_str buf (event_name e.event);
+      Buffer.add_string buf ",\"args\":{";
+      add_args buf e.event;
+      Buffer.add_string buf "}}\n")
     entries;
   Buffer.contents buf
 
+(* The tree-building reference for [chrome_event_into]. *)
 let chrome_event ?(pid = 1) ?(tid = 1) e =
   Json.Obj
     [ ("name", Json.Str (event_name e.event));
@@ -184,8 +238,24 @@ let chrome_event ?(pid = 1) ?(tid = 1) e =
       ("tid", Json.Int tid);
       ("args", Json.Obj (("seq", Json.Int e.seq) :: event_args e.event)) ]
 
+let chrome_event_into buf ?(pid = 1) ?(tid = 1) e =
+  Buffer.add_string buf "{\"name\":";
+  Json.add_str buf (event_name e.event);
+  Buffer.add_string buf ",\"cat\":";
+  Json.add_str buf (if e.scope = "" then "platform" else e.scope);
+  Buffer.add_string buf ",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
+  Json.add_int buf e.ts;
+  Buffer.add_string buf ",\"pid\":";
+  Json.add_int buf pid;
+  Buffer.add_string buf ",\"tid\":";
+  Json.add_int buf tid;
+  Buffer.add_string buf ",\"args\":{\"seq\":";
+  Json.add_int buf e.seq;
+  Buffer.add_char buf ',';
+  add_args buf e.event;
+  Buffer.add_string buf "}}"
+
 let chrome_of_ring ?(attribution = []) ?total_cycles (r : ring) =
-  let events = List.map chrome_event (ring_entries r) in
   let other =
     [ ("emitted", Json.Int (ring_emitted r)); ("dropped", Json.Int (ring_dropped r)) ]
     @ (match total_cycles with Some t -> [ ("total_cycles", Json.Int t) ] | None -> [])
@@ -194,7 +264,14 @@ let chrome_of_ring ?(attribution = []) ?total_cycles (r : ring) =
     | [] -> []
     | att -> [ ("attribution", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) att)) ]
   in
-  Json.Obj
-    [ ("traceEvents", Json.Arr events);
-      ("displayTimeUnit", Json.Str "ns");
-      ("otherData", Json.Obj other) ]
+  let buf = Buffer.create 65536 in
+  Buffer.add_string buf "{\"traceEvents\":[";
+  let first = ref true in
+  ring_iter r (fun e ->
+      if not !first then Buffer.add_char buf ',';
+      first := false;
+      chrome_event_into buf e);
+  Buffer.add_string buf "],\"displayTimeUnit\":\"ns\",\"otherData\":";
+  Json.to_buffer buf (Json.Obj other);
+  Buffer.add_char buf '}';
+  Buffer.contents buf

@@ -145,23 +145,42 @@ val event_name : event -> string
 (** Stable wire name of the event constructor (e.g. ["tlb-flush"]). *)
 
 val event_args : event -> (string * Json.t) list
-(** The event's payload as JSON fields, in declaration order —
-    deterministic, so exports are byte-stable. *)
+(** The event's payload as JSON fields, in declaration order. Part of
+    the tree-building reference encoder {!chrome_event}; the exporters
+    write the same members straight into their buffers. *)
 
 val jsonl_of : entry list -> string
 (** Render any entry list (e.g. a ring's {!ring_entries}) as JSONL, one
-    [{"seq":N,"ts":N,"scope":S,"name":S,"args":{...}}] object per line. *)
+    [{"seq":N,"ts":N,"scope":S,"name":S,"args":{...}}] object per line,
+    written straight into one buffer with the [args] body
+    {!chrome_event_into} uses. *)
+
+val chrome_event_into : Buffer.t -> ?pid:int -> ?tid:int -> entry -> unit
+(** [chrome_event_into buf e] appends one Chrome [trace_event]
+    instant-event object to [buf], building no tree: fields [name], [cat]
+    (the scope, ["platform"] outside any), [ph], [s], [ts], [pid], [tid]
+    and [args] (["seq"] first, then {!event_args}), escaped by
+    [Json.add_str]. The bytes are exactly
+    [Json.to_string (chrome_event ?pid ?tid e)] — a qcheck property in
+    [test/test_obs.ml] pins this for every constructor. [pid]/[tid]
+    default to 1; the fleet's merged export gives each VM its own [pid]
+    row. Apart from growing [buf] and escaping a control byte, it does
+    not allocate; a caller in a per-event loop should pass a prebuilt
+    [?pid] option. This is the encoder every
+    Chrome exporter uses. *)
 
 val chrome_event : ?pid:int -> ?tid:int -> entry -> Json.t
-(** One Chrome [trace_event] instant-event object. [pid]/[tid] default to
-    1; the fleet's merged export gives each shard its own [pid] row. *)
+(** The same event as a [Json.t] tree: the reference implementation
+    {!chrome_event_into} is tested against, and what the benchmark's
+    per-layer replay still times. No exporter calls it. *)
 
 val chrome_of_ring :
-  ?attribution:(string * int) list -> ?total_cycles:int -> ring -> Json.t
-(** Chrome [trace_event] format for one ring: an object with a
-    [traceEvents] array of instant events (timestamps in ledger cycles)
-    and an [otherData] section carrying the ring's [emitted]/[dropped]
-    counters, the ledger total and the per-scope cycle attribution, so
-    viewers and tests can check that attribution sums to the total.
-    Single-recording export ([pid] 1 throughout); for the multi-shard
-    variant see [Fidelius_fleet.Merge.chrome_of_shards]. *)
+  ?attribution:(string * int) list -> ?total_cycles:int -> ring -> string
+(** Chrome [trace_event] format for one ring: a JSON document with a
+    [traceEvents] array of instant events (timestamps in ledger cycles,
+    written by {!chrome_event_into}) and an [otherData] section carrying
+    the ring's [emitted]/[dropped] counters, the ledger total and the
+    per-scope cycle attribution, so viewers and tests can check that
+    attribution sums to the total. Single-recording export ([pid] 1
+    throughout), without a trailing newline; the fleet's multi-VM
+    document is streamed by [Fidelius_workloads.Fleetbench.run_stream]. *)

@@ -34,22 +34,28 @@ let label_of vm = Printf.sprintf "vm%d:%s" vm profiles.(vm mod Array.length prof
 
 (* Everything a VM job needs that is expensive to allocate and safe to
    reuse: the DRAM backing (32 MiB of pages, reset to zero per job), the
-   trace ring (a 64k-slot array, counters reset per job) and the JSON
-   serialization buffer. One arena per worker domain; jobs on a worker
-   run sequentially, so ownership is exclusive without a lock. VM j's
-   results stay a pure function of j because every reused piece is reset
-   to its fresh state before the job reads it — pinned by the arena-reuse
-   qcheck property in test/test_fleet.ml. *)
+   trace ring (a 64k-slot array, counters reset per job) and the buffer
+   the trace goes to the spill through. One arena per worker domain; jobs
+   on a worker run sequentially, so ownership is exclusive without a
+   lock. VM j's results stay a pure function of j because every reused
+   piece is reset to its fresh state before the job reads it — pinned by
+   the arena-reuse qcheck property in test/test_fleet.ml. *)
 type arena = {
   mem : Hw.Physmem.t;
   ring : Trace.ring;
   jbuf : Buffer.t;
 }
 
+(* The trace leaves [jbuf] for the spill once it holds this many bytes,
+   so the buffer stays about one block long (it is created with room for
+   two) rather than growing to a VM's ~2 MB fragment, which keeps the
+   worker's footprint, and so the fleet's peak RSS, low and steady. *)
+let spill_block = 65536
+
 let arena () =
   { mem = Hw.Physmem.create ~nr_frames:Hw.Machine.default_nr_frames;
     ring = Trace.ring ();
-    jbuf = Buffer.create 65536 }
+    jbuf = Buffer.create (2 * spill_block) }
 
 type gc_stats = {
   worker : int;
@@ -63,41 +69,22 @@ type gc_stats = {
 
 (* --- one VM ------------------------------------------------------------- *)
 
-let run_vm_core ~mem vm =
+let run_vm a vm =
   let p = profiles.(vm mod Array.length profiles) in
   (* Engine.boot_stack installs the ledger clock into this recording as
      soon as the VM's machine exists, so every event is stamped in the
      VM's own simulated cycles. *)
-  let result = Engine.run ?mem p Engine.Fidelius_enc in
-  (p, result)
-
-let row_of vm p (result : Engine.result) ~events =
+  let r = Trace.record_into a.ring (fun () -> Engine.run ~mem:a.mem p Engine.Fidelius_enc) in
   { vm;
     profile = p.Profile.name;
-    cycles = result.Engine.cycles;
-    per_access = result.Engine.per_access;
-    per_exit = result.Engine.per_exit;
-    events }
-
-let run_vm vm =
-  let ring = Trace.ring () in
-  let p, result = Trace.record_into ring (fun () -> run_vm_core ~mem:None vm) in
-  (row_of vm p result ~events:(Trace.ring_length ring), (label_of vm, Trace.ring_entries ring))
-
-let run_vm_arena a vm =
-  let p, result = Trace.record_into a.ring (fun () -> run_vm_core ~mem:(Some a.mem) vm) in
-  row_of vm p result ~events:(Trace.ring_length a.ring)
-
-let run ?domains ?(vms = 16) () =
-  if vms < 0 then invalid_arg "Fleetbench.run: vms must be >= 0";
-  let results = Pool.map ?domains ~njobs:vms run_vm in
-  { rows = List.map fst results; shards = List.map snd results }
+    cycles = r.Engine.cycles;
+    per_access = r.Engine.per_access;
+    per_exit = r.Engine.per_exit;
+    events = Trace.ring_length a.ring }
 
 let csv_of_rows rows = Merge.csv ~header:csv_header (List.map (fun r -> [ csv_row r ]) rows)
 
 let csv t = csv_of_rows t.rows
-
-let chrome t = Merge.chrome_of_shards t.shards
 
 (* --- streaming shard output --------------------------------------------- *)
 
@@ -121,17 +108,26 @@ let spill_path ~dir w = Filename.concat dir (Printf.sprintf "trace-%06d" w)
 
 let mkdir_p dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
-(* Serialize one VM's chrome fragment from the ring, in-place: the
+(* Spill one VM's chrome fragment from the ring to [oc]: the
    process_name metadata object, then every entry as an instant event
-   with this VM's pid. Fragments after the global first carry a leading
-   comma so the final merge is pure byte concatenation. *)
-let chrome_fragment buf ~vm ring =
-  Buffer.clear buf;
+   with this VM's pid, written straight into [buf]. Fragments after the
+   global first carry a leading comma so the final merge is pure byte
+   concatenation. [buf] goes out in blocks of [spill_block] bytes and is
+   empty again on return. The pid option is built once per VM, not per
+   event. *)
+let chrome_fragment buf oc ~vm ring =
   if vm > 0 then Buffer.add_char buf ',';
   Json.to_buffer buf (Merge.process_meta ~pid:(vm + 1) (label_of vm));
+  let pid = Some (vm + 1) in
   Trace.ring_iter ring (fun e ->
       Buffer.add_char buf ',';
-      Json.to_buffer buf (Trace.chrome_event ~pid:(vm + 1) e))
+      Trace.chrome_event_into buf ?pid e;
+      if Buffer.length buf >= spill_block then begin
+        Buffer.output_buffer oc buf;
+        Buffer.clear buf
+      end);
+  Buffer.output_buffer oc buf;
+  Buffer.clear buf
 
 let run_stream ?domains ?(vms = 16) ~csv:csv_out ~trace:trace_out () =
   if vms < 0 then invalid_arg "Fleetbench.run_stream: vms must be >= 0";
@@ -172,10 +168,8 @@ let run_stream ?domains ?(vms = 16) ~csv:csv_out ~trace:trace_out () =
               minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
               major_collections = g1.Gc.major_collections - g0.Gc.major_collections })
       (fun st vm ->
-        let row = run_vm_arena st.a vm in
-        chrome_fragment st.a.jbuf ~vm st.a.ring;
-        Buffer.output_buffer st.spill st.a.jbuf;
-        Buffer.clear st.a.jbuf;
+        let row = run_vm st.a vm in
+        chrome_fragment st.a.jbuf st.spill ~vm st.a.ring;
         Trace.ring_reset st.a.ring;
         st.njobs_run <- st.njobs_run + 1;
         row)

@@ -1,39 +1,35 @@
 (** The fleet scaling benchmark: N independent guest-VM simulations
     sharded across a domain pool.
 
-    This is the shared core behind [bench fleet] and the fleet
-    determinism tests: both call {!run} (or its bounded-memory sibling
-    {!run_stream}) so the benchmark and the test exercise exactly the
+    This is the shared core behind [bench fleet], the repository
+    benchmark and the fleet determinism tests: all of them call
+    {!run_stream}, so the benchmark and the test exercise exactly the
     same code path. Each VM job boots a fresh protected stack
     ([Engine.run] under [Fidelius_enc]) inside its own trace recording,
-    so every VM produces a result row plus its own trace shard; {!csv}
-    and {!chrome} merge them in canonical VM order.
+    so every VM produces a result row plus its own trace shard, merged
+    in canonical VM order.
 
     {2 Determinism contract}
 
     Everything here except wall-clock timing is a pure function of
     [(vms)]: VM [k] always runs profile [profiles.(k mod |profiles|)]
-    with {!Engine.seed_of}-derived seeds, on a fresh (or freshly reset —
-    see below) machine, in a fresh (or freshly reset) recording. {!csv}
-    and {!chrome} bytes are therefore identical for any [domains] value —
-    the property the fleet tests pin. Wall-clock throughput (VMs/sec) is
-    measured by the {e caller} around {!run}/{!run_stream}; it is the
-    only nondeterministic quantity and never appears in the merged
-    artifacts.
+    with {!Engine.seed_of}-derived seeds, on a freshly reset machine, in
+    a freshly reset recording. The CSV and trace bytes {!run_stream}
+    writes are therefore identical for any [domains] value — the
+    property the fleet tests pin, together with the digests of those
+    bytes. Wall-clock throughput (VMs/sec) is measured by the
+    {e caller} around {!run_stream}; it is the only nondeterministic
+    quantity and never appears in the merged artifacts.
 
     {2 Arenas and streaming}
 
-    {!run} is the in-memory path: every VM allocates its own machine and
-    ring, and every VM's trace entries stay live until the caller drops
-    [t] — fine for tests and small fleets, quadratic pain at 1,000 VMs.
-    {!run_stream} is the fleet-scale path: worker domains own reusable
-    {!arena}s (DRAM backing, trace ring, serialization buffer), each
-    VM's trace bytes are spilled to its worker's one spill file as the
-    job completes, and the spills are concatenated in worker order,
-    which is canonical job order — the artifacts are byte-identical to
-    {!run}'s at every domain count (pinned in [test/test_fleet.ml])
-    while peak memory stays bounded by [workers × arena] plus the row
-    list, not [vms × trace]. *)
+    Worker domains own reusable {!arena}s (DRAM backing, trace ring,
+    serialization buffer). Each VM's Chrome events are written straight
+    into the arena's buffer ([Trace.chrome_event_into], no JSON tree per
+    event) and spilled to its worker's one spill file as the job
+    completes; the spills are concatenated in worker order, which is
+    canonical job order. Peak memory stays bounded by
+    [workers × arena] plus the row list, not [vms × trace]. *)
 
 type vm_row = {
   vm : int;                        (** canonical job index, [0 .. vms-1] *)
@@ -47,8 +43,11 @@ type vm_row = {
 type t = {
   rows : vm_row list;              (** one per VM, canonical order *)
   shards : (string * Fidelius_obs.Trace.entry list) list;
-      (** per-VM trace shards, canonical order — feed to {!chrome} *)
+      (** per-VM trace shards; nothing in the library fills them *)
 }
+(** A fleet's rows, for {!csv}. Kept only because the benchmark's
+    per-layer replay renders its CSV as [csv { rows; shards = [] }];
+    {!run_stream} itself writes the CSV from its rows directly. *)
 
 type arena = {
   mem : Fidelius_hw.Physmem.t;
@@ -56,7 +55,10 @@ type arena = {
           zeroed per job by [Machine.create ?mem] *)
   ring : Fidelius_obs.Trace.ring;
       (** reusable trace ring, reset per job by [Trace.record_into] *)
-  jbuf : Buffer.t;  (** serialization scratch, cleared per fragment *)
+  jbuf : Buffer.t;
+      (** trace spill buffer: {!run_stream} writes each VM's Chrome events
+          into it and moves them to the worker's spill in 64 KiB blocks,
+          so it stays about one block long; empty between jobs *)
 }
 (** Everything a VM job reuses across jobs on one worker. Ownership rule
     (SCALING.md): an arena belongs to exactly one worker domain; jobs on
@@ -93,38 +95,36 @@ type gc_stats = {
     worker sees and pays for. *)
 
 type summary = {
-  vm_rows : vm_row list;  (** one per VM, canonical order — same rows {!run} returns *)
+  vm_rows : vm_row list;  (** one per VM, canonical order *)
   gc : gc_stats list;     (** one per worker domain, worker order *)
 }
 
-val run : ?domains:int -> ?vms:int -> unit -> t
-(** Boots and measures [vms] (default 16) protected VMs across
-    [domains] (default [Fidelius_fleet.Pool.recommended_domains ()])
-    worker domains, retaining every VM's rows and trace entries in
-    memory. Raises [Invalid_argument] if [vms < 0]. *)
-
 val run_stream :
   ?domains:int -> ?vms:int -> csv:string -> trace:string -> unit -> summary
-(** [run_stream ~csv ~trace ()] is {!run} with per-worker arenas and a
-    streamed trace: worker [w] reuses one {!arena} for all its jobs and
-    appends each finished VM's serialized Chrome events to its one spill
-    file (in a [<trace>.spill] directory, removed on success), opened in
+(** [run_stream ~csv ~trace ()] boots and measures [vms] (default 16)
+    protected VMs across [domains] (default
+    [Fidelius_fleet.Pool.recommended_domains ()]) worker domains. Worker
+    [w] reuses one {!arena} for all its jobs and appends each finished
+    VM's serialized Chrome events to its one spill file (in a
+    [<trace>.spill] directory, removed on success), opened in
     [Pool.map_with]'s [init] and closed in its [finish]. After the pool
     joins, [csv] is written from the returned rows with the rendering
     {!csv} uses, and [trace] is the spills concatenated in worker order
-    — byte-identical to what {!csv}/{!chrome} over {!run}'s results
-    would produce (including the trailing newline on [trace]), at every
-    domain count. Peak live heap is [workers × arena] plus the (tiny)
-    row list; no VM's trace entries survive its own job.
+    between [Merge.chrome_header] and [Merge.chrome_footer], plus a
+    trailing newline: one Chrome document in which VM [k] is
+    [pid = k + 1], named ["vm<k>:<profile>"] by a [process_name] row,
+    with timestamps in simulated cycles. Both files are byte-identical at
+    every domain count. Peak live heap is [workers × arena] plus the
+    (tiny) row list; no VM's trace entries survive its own job.
 
     The returned {!summary} carries the canonical rows plus one
     {!gc_stats} per worker — the [--gc-stats] diagnosis data.
 
     Raises [Invalid_argument] if [vms < 0] or [domains < 1], and
-    [Pool.Job_failed] like {!run}; on failure the spill directory may be
-    left behind (its files are truncated and reused by the next call).
-    Not re-entrant on the same output paths: two concurrent streams would
-    race on the spill directory. *)
+    [Pool.Job_failed] if a VM job raises; on failure the spill directory
+    may be left behind (its files are truncated and reused by the next
+    call). Not re-entrant on the same output paths: two concurrent
+    streams would race on the spill directory. *)
 
 val csv_header : string
 (** First line of {!csv} / the [csv] file {!run_stream} writes. *)
@@ -134,8 +134,3 @@ val csv : t -> string
     [vm,profile,cycles,per_access_cycles,per_exit_cycles,trace_events].
     Cycle columns are simulated cycles ([per_*] to 2 decimal places) —
     no wall time, so bytes are domain-count-independent. *)
-
-val chrome : t -> Fidelius_obs.Json.t
-(** The merged multi-process Chrome trace
-    ({!Fidelius_fleet.Merge.chrome_of_shards}): VM [k] is [pid = k + 1],
-    labelled ["vm<k>:<profile>"]. Timestamps are simulated cycles. *)

@@ -317,12 +317,12 @@ let test_chrome_roundtrip () =
   let attribution = Cost.scopes ledger in
   let total = Cost.total ledger in
   let events = Trace.ring_length ring in
-  let json = Trace.chrome_of_ring ~attribution ~total_cycles:total ring in
-  let reparsed = Json.parse (Json.to_string json) in
-  Alcotest.(check bool) "print/parse round-trips structurally" true
-    (reparsed = json);
+  let reparsed = Json.parse (Trace.chrome_of_ring ~attribution ~total_cycles:total ring) in
   (match Json.member "traceEvents" reparsed with
-  | Some (Json.Arr evs) -> Alcotest.(check int) "all events exported" events (List.length evs)
+  | Some (Json.Arr evs) ->
+      Alcotest.(check int) "all events exported" events (List.length evs);
+      Alcotest.(check bool) "every event parses to its reference tree" true
+        (evs = List.map (fun e -> Trace.chrome_event e) (Trace.ring_entries ring))
   | _ -> Alcotest.fail "traceEvents missing");
   match Option.bind (Json.member "otherData" reparsed) (Json.member "attribution") with
   | Some (Json.Obj fields) ->
@@ -333,6 +333,133 @@ let test_chrome_roundtrip () =
       in
       Alcotest.(check int) "attribution sums to ledger total" total s
   | _ -> Alcotest.fail "otherData.attribution missing"
+
+(* The bytes of `fidelius_sim trace demo --format chrome`, which the test
+   rule in test/dune writes next to this runner. The digest was taken
+   from the tree-building exporter the direct writer replaced. *)
+let test_demo_chrome_digest () =
+  let name = "trace_demo.chrome.json" in
+  let candidates = [ name; Filename.concat (Filename.concat "_build" "default") ("test/" ^ name) ] in
+  match List.find_opt Sys.file_exists candidates with
+  | None -> Alcotest.failf "%s not found (built by the runtest rule in test/dune)" name
+  | Some path ->
+      Alcotest.(check string) "md5 of trace demo --format chrome"
+        "e6c73e675fa84c008c8adfa2a235d72b"
+        (Digest.to_hex (Digest.file path))
+
+(* --- direct writers = tree reference ------------------------------------ *)
+
+(* Strings a JSON escaper can get wrong: quotes, backslashes, every kind
+   of control byte, DEL, multi-byte UTF-8 and text that looks escaped. *)
+let adversarial_string =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [ oneofl
+          [ "\""; "\\"; "\n"; "\r"; "\t"; "\x00"; "\x01"; "\x08"; "\x0c"; "\x1f"; "\x7f";
+            "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "\\u0041"; "plain" ];
+        string_size ~gen:char (int_bound 3) ]
+  in
+  list_size (int_bound 5) piece >|= String.concat ""
+
+let adversarial_int =
+  QCheck.Gen.(oneof [ oneofl [ min_int; max_int; 0; -1; min_int + 1 ]; int; small_signed_int ])
+
+type case = {
+  strs : string array;  (* scope, reason, call, cmd, site, label *)
+  ints : int array;  (* seq, ts, domid, gfn, gate, blocks, space, vfn, hit *)
+  bools : bool array;  (* ok, encrypted, full *)
+  pid : int option;
+  tid : int option;
+}
+
+let case_gen =
+  let open QCheck.Gen in
+  let* strs = array_repeat 6 adversarial_string in
+  let* ints = array_repeat 9 adversarial_int in
+  let* bools = array_repeat 3 bool in
+  let* pid = opt adversarial_int in
+  let+ tid = opt adversarial_int in
+  { strs; ints; bools; pid; tid }
+
+let print_case c =
+  Printf.sprintf "strs=[%s] ints=[%s] bools=[%s] pid=%s tid=%s"
+    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%S") c.strs)))
+    (String.concat "; " (Array.to_list (Array.map string_of_int c.ints)))
+    (String.concat "; " (Array.to_list (Array.map string_of_bool c.bools)))
+    (Option.fold ~none:"default" ~some:string_of_int c.pid)
+    (Option.fold ~none:"default" ~some:string_of_int c.tid)
+
+(* One entry per [Trace.event] constructor, all 14, filled from [c]. *)
+let entries_of c =
+  let s = c.strs and i = c.ints and b = c.bools in
+  List.map
+    (fun event -> { Trace.seq = i.(0); ts = i.(1); scope = s.(0); event })
+    Trace.
+      [ Vmrun { domid = i.(2) };
+        Vmexit { domid = i.(2); reason = s.(1) };
+        Npf { domid = i.(2); gfn = i.(3) };
+        Hypercall s.(2);
+        Gate i.(4);
+        Shadow_capture s.(1);
+        Shadow_verify { ok = b.(0) };
+        Fw_cmd s.(3);
+        Dram { blocks = i.(5); encrypted = b.(1) };
+        Walk { space = i.(6); vfn = i.(7) };
+        Tlb_flush { full = b.(2) };
+        Pte_write { vfn = i.(7) };
+        Fault { site = s.(4); hit = i.(8) };
+        Mark s.(5) ]
+
+(* The JSONL object as a tree: the reference [Trace.jsonl_of] is checked
+   against. *)
+let jsonl_reference (e : Trace.entry) =
+  Json.Obj
+    [ ("seq", Json.Int e.seq);
+      ("ts", Json.Int e.ts);
+      ("scope", Json.Str e.scope);
+      ("name", Json.Str (Trace.event_name e.event));
+      ("args", Json.Obj (Trace.event_args e.event)) ]
+
+let prop_direct_writers_match_tree =
+  QCheck.Test.make ~count:300 ~name:"direct writers = tree reference"
+    (QCheck.make ~print:print_case case_gen)
+    (fun c ->
+      List.for_all
+        (fun e ->
+          (* Appends after what the buffer already holds. *)
+          let direct = Buffer.create 16 and tree = Buffer.create 16 in
+          Buffer.add_string direct "prefix,";
+          Buffer.add_string tree "prefix,";
+          Trace.chrome_event_into direct ?pid:c.pid ?tid:c.tid e;
+          Json.to_buffer tree (Trace.chrome_event ?pid:c.pid ?tid:c.tid e);
+          Buffer.contents direct = Buffer.contents tree
+          && Trace.jsonl_of [ e ] = Json.to_string (jsonl_reference e) ^ "\n")
+        (entries_of c))
+
+let test_json_writers () =
+  List.iter
+    (fun i ->
+      let buf = Buffer.create 8 in
+      Json.add_int buf i;
+      Alcotest.(check string) (string_of_int i) (string_of_int i) (Buffer.contents buf))
+    [ min_int; min_int + 1; -10; -9; -1; 0; 9; 10; 4096; max_int ];
+  let buf = Buffer.create 8 in
+  Json.add_str buf "a\"b\\c\n\x01\x1f\x7f\xc3\xa9";
+  Alcotest.(check string) "escaped string" "\"a\\\"b\\\\c\\n\\u0001\\u001f\x7f\xc3\xa9\""
+    (Buffer.contents buf);
+  (* Every byte, alone: the output parses back to it and carries no raw
+     control byte. *)
+  for code = 0 to 255 do
+    let s = String.make 1 (Char.chr code) in
+    let buf = Buffer.create 8 in
+    Json.add_str buf s;
+    let out = Buffer.contents buf in
+    if String.exists (fun c -> Char.code c < 0x20) out then
+      Alcotest.failf "byte 0x%02x left unescaped: %S" code out;
+    if Json.parse out <> Json.Str s then
+      Alcotest.failf "byte 0x%02x does not round-trip: %S" code out
+  done
 
 (* --- Json parser --------------------------------------------------------- *)
 
@@ -393,8 +520,11 @@ let () =
       ( "export",
         [ Alcotest.test_case "golden jsonl" `Slow test_golden_jsonl;
           Alcotest.test_case "jsonl well-formed" `Quick test_jsonl_well_formed;
-          Alcotest.test_case "chrome round-trip" `Quick test_chrome_roundtrip ] );
+          Alcotest.test_case "chrome round-trip" `Quick test_chrome_roundtrip;
+          Alcotest.test_case "demo chrome digest" `Quick test_demo_chrome_digest;
+          QCheck_alcotest.to_alcotest prop_direct_writers_match_tree ] );
       ( "json",
         [ Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "values" `Quick test_json_values;
-          Alcotest.test_case "rejects" `Quick test_json_rejects ] ) ]
+          Alcotest.test_case "rejects" `Quick test_json_rejects;
+          Alcotest.test_case "writers" `Quick test_json_writers ] ) ]
